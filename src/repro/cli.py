@@ -30,10 +30,9 @@ from repro.core.trace import OpCategory, PimKernel
 from repro.errors import ParameterError, ReproError
 from repro.gpu.configs import A100_80GB, LIBRARIES, RTX_4090
 from repro.obs.baseline import (append_history, baseline_metrics,
-                                baseline_path, check_baseline,
-                                check_baseline_metrics, load_baseline,
-                                load_history, render_history,
-                                write_baseline, write_baseline_metrics)
+                                baseline_path, check_baseline_metrics,
+                                load_baseline, load_history,
+                                render_history, write_baseline_metrics)
 from repro.obs.export import (chrome_trace_from_report,
                               chrome_trace_from_tracer, merge_traces,
                               report_dict, run_manifest, write_json)
@@ -62,6 +61,12 @@ def _pim_for(gpu_name: str, pim_name: str):
     if key not in table:
         raise SystemExit(f"no PIM config for gpu={gpu_name} pim={pim_name}")
     return table[key]
+
+
+def _target(args):
+    """``(gpu, pim or None, library)`` named by --gpu/--pim/--library."""
+    pim = None if args.pim == "none" else _pim_for(args.gpu, args.pim)
+    return GPUS[args.gpu], pim, LIBRARIES[args.library]
 
 
 # -- Observability plumbing shared by the subcommands --------------------------
@@ -114,6 +119,38 @@ def _check_memory(workload, gpu, quiet: bool = False) -> bool:
     return False
 
 
+def _baseline_gate(args, name: str, metrics: dict, config: dict,
+                   extra=None, summary: str = "") -> int:
+    """Check ``metrics`` against ``BENCH_<name>.json`` in ``--dir``
+    (``--check``), or write that baseline and append the run to its
+    history.  Exit code: 2 when the baseline is missing, 1 on any
+    metric outside ``--tolerance``, else 0."""
+    suffix = f" ({summary})" if summary else ""
+    if not args.check:
+        path = write_baseline_metrics(args.dir, name, metrics,
+                                      config=config, extra=extra)
+        append_history(args.dir, name, metrics, config=config)
+        print(f"wrote baseline {path}{suffix}")
+        return 0
+    path = baseline_path(args.dir, name)
+    if not path.exists():
+        writer = (f"bench --workload {name}" if args.command == "bench"
+                  else f"{args.command} --write-baseline")
+        print(f"no baseline at {path}; run `anaheim-repro {writer}` first")
+        return 2
+    regressions = check_baseline_metrics(load_baseline(args.dir, name),
+                                         metrics, tolerance=args.tolerance)
+    if regressions:
+        print(f"{name}: {len(regressions)} metric(s) outside "
+              f"±{args.tolerance:.0%} of {path}:")
+        for regression in regressions:
+            print(f"  {regression.describe()}")
+        return 1
+    print(f"{name}: all metrics within ±{args.tolerance:.0%} of "
+          f"{path}{suffix}")
+    return 0
+
+
 # -- Subcommands ---------------------------------------------------------------
 
 
@@ -131,35 +168,30 @@ def cmd_list(_args) -> int:
 
 
 def cmd_run(args) -> int:
-    gpu = GPUS[args.gpu]
+    gpu, pim, library = _target(args)
     params = paper_params()
     workload = apps.build(args.workload, params)
     if not _check_memory(workload, gpu):
         return 1
-    library = LIBRARIES[args.library]
-    keep = args.trace_out is not None
     fault_plan = None
     if args.fault_seed is not None:
         from repro.faults.plan import default_plan
         fault_plan = default_plan(seed=args.fault_seed,
                                   scale=args.fault_scale)
     metrics = MetricsRegistry()
-    if args.pim == "none":
-        framework = AnaheimFramework(gpu, library=library,
-                                     keep_segments=keep,
-                                     fault_plan=fault_plan,
-                                     metrics=metrics)
+    framework = AnaheimFramework(gpu, pim, library=library,
+                                 keep_segments=args.trace_out is not None,
+                                 fault_plan=fault_plan, metrics=metrics)
+    manifest_args = dict(gpu=gpu, pim=pim, library=library,
+                         workload=args.workload, degree=params.degree,
+                         fault_plan=fault_plan, metrics=metrics)
+    if pim is None:
         result = framework.run(workload.blocks, params.degree,
                                label=args.workload)
         report = result.report
-        manifest = run_manifest(report, gpu=gpu, pim=None, library=library,
-                                options=result.options,
-                                workload=args.workload,
-                                degree=params.degree,
-                                fault_plan=fault_plan,
-                                metrics=metrics)
         _emit_artifacts(args, trace_doc=chrome_trace_from_report(report),
-                        manifest=manifest)
+                        manifest=run_manifest(report, options=result.options,
+                                              **manifest_args))
         if args.json:
             print(json.dumps({"workload": args.workload, "gpu": gpu.name,
                               "pim": None, "library": args.library,
@@ -171,22 +203,14 @@ def cmd_run(args) -> int:
         if args.breakdown:
             print(render_breakdown({args.workload: report}))
         return 0
-    pim = _pim_for(args.gpu, args.pim)
-    framework = AnaheimFramework(gpu, pim, library=library,
-                                 keep_segments=keep,
-                                 fault_plan=fault_plan,
-                                 metrics=metrics)
     runs = framework.compare(workload.blocks, params.degree,
                              label=args.workload)
     base, anaheim = runs["gpu"].report, runs["pim"].report
     trace_doc = merge_traces(chrome_trace_from_report(base, pid=0),
                              chrome_trace_from_report(anaheim, pid=1))
-    manifest = run_manifest(anaheim, gpu=gpu, pim=pim, library=library,
-                            options=runs["pim"].options,
-                            workload=args.workload, degree=params.degree,
-                            fault_plan=fault_plan, metrics=metrics,
-                            extra={"baseline_report": report_dict(base)})
-    _emit_artifacts(args, trace_doc=trace_doc, manifest=manifest)
+    _emit_artifacts(args, trace_doc=trace_doc, manifest=run_manifest(
+        anaheim, options=runs["pim"].options,
+        extra={"baseline_report": report_dict(base)}, **manifest_args))
     if args.json:
         print(json.dumps({
             "workload": args.workload, "gpu": gpu.name, "pim": pim.name,
@@ -291,13 +315,11 @@ def cmd_microbench(args) -> int:
 
 def _bench_framework(args):
     """(framework, pim-or-None, workload) for bench/profile runs."""
-    gpu = GPUS[args.gpu]
+    gpu, pim, library = _target(args)
     params = paper_params()
     workload = apps.build(args.workload, params)
     if not _check_memory(workload, gpu):
         return None
-    library = LIBRARIES[args.library]
-    pim = None if args.pim == "none" else _pim_for(args.gpu, args.pim)
     framework = AnaheimFramework(
         gpu, pim, library=library,
         keep_segments=getattr(args, "trace_out", None) is not None,
@@ -313,39 +335,16 @@ def _run_functional(args, tracer=None) -> dict:
 
 def _bench_functional(args) -> int:
     """Wall-clock bench of the executable CKKS layer (no modeled run)."""
-    tracer = Tracer()
-    result = _run_functional(args, tracer=tracer)
+    result = _run_functional(args, tracer=Tracer())
     metrics = result["metrics"]
-    if args.check:
-        path = baseline_path(args.dir, "functional")
-        if not path.exists():
-            print(f"no baseline at {path}; run `anaheim-repro bench "
-                  f"--workload functional` first")
-            return 2
-        baseline = load_baseline(args.dir, "functional")
-        regressions = check_baseline_metrics(baseline, metrics,
-                                             tolerance=args.tolerance)
-        if regressions:
-            print(f"functional: {len(regressions)} metric(s) outside "
-                  f"±{args.tolerance:.0%} of {path}:")
-            for regression in regressions:
-                print(f"  {regression.describe()}")
-            return 1
-        print(f"functional: all metrics within ±{args.tolerance:.0%} "
-              f"of {path}")
-        return 0
-    path = write_baseline_metrics(
-        args.dir, "functional", metrics, config=result["config"],
+    return _baseline_gate(
+        args, "functional", metrics, result["config"],
         extra={"counters": result["counters"],
-               "precision_max_err": result["precision_max_err"]})
-    append_history(args.dir, "functional", metrics,
-                   config=result["config"])
-    print(f"wrote baseline {path} "
-          f"(bootstrap {format_seconds(metrics['bootstrap_s'])}, "
-          f"key switch {format_seconds(metrics['key_switch_s'])}, "
-          f"NTT batch speedup {metrics['ntt_batch_speedup']:.2f}x, "
-          f"lazy speedup {metrics['ntt_lazy_speedup']:.2f}x)")
-    return 0
+               "precision_max_err": result["precision_max_err"]},
+        summary=(f"bootstrap {format_seconds(metrics['bootstrap_s'])}, "
+                 f"key switch {format_seconds(metrics['key_switch_s'])}, "
+                 f"NTT batch speedup {metrics['ntt_batch_speedup']:.2f}x, "
+                 f"lazy speedup {metrics['ntt_lazy_speedup']:.2f}x"))
 
 
 def _bench_parallel(args) -> int:
@@ -359,6 +358,7 @@ def _bench_parallel(args) -> int:
     only (``extra``), never gated: the modeled speedup is a pure
     function of (costs, workers) and reproduces exactly under
     ``bench --check`` on any host, including single-core CI runners.
+    Writing demands half the ideal speedup, ``min(workers, units)``.
     """
     import time as _time
     from repro.faults.campaign import run_matrix
@@ -402,38 +402,29 @@ def _bench_parallel(args) -> int:
                f"documents {'identical' if digest_match else 'DIFFER'}; "
                f"wall {wall_serial_s:.2f}s -> {wall_parallel_s:.2f}s "
                f"(informational)")
-    if args.check:
-        path = baseline_path(args.dir, "parallel")
-        if not path.exists():
-            print(f"no baseline at {path}; run `anaheim-repro bench "
-                  f"--workload parallel` first")
-            return 2
-        baseline = load_baseline(args.dir, "parallel")
-        regressions = check_baseline_metrics(baseline, metrics,
-                                             tolerance=args.tolerance)
-        if regressions:
-            print(f"parallel: {len(regressions)} metric(s) outside "
-                  f"±{args.tolerance:.0%} of {path}:")
-            for regression in regressions:
-                print(f"  {regression.describe()}")
-            return 1
-        print(f"parallel: all metrics within ±{args.tolerance:.0%} of "
-              f"{path}")
-        print(summary)
-        return 0 if digest_match else 1
-    if not digest_match:
+    floor = 0.5 * min(workers, args.units)
+    if not args.check and not digest_match:
         print(f"parallel: FAIL — {summary}")
         return 1
-    if timeline["speedup"] < 2.0:
+    if not args.check and timeline["speedup"] < floor:
         print(f"parallel: FAIL — modeled speedup "
-              f"{timeline['speedup']:.2f}x < 2x; {summary}")
+              f"{timeline['speedup']:.2f}x < {floor:g}x; {summary}")
         return 1
-    path = write_baseline_metrics(args.dir, "parallel", metrics,
-                                  config=config, extra=extra)
-    append_history(args.dir, "parallel", metrics, config=config)
-    print(f"wrote baseline {path}")
+    status = _baseline_gate(args, "parallel", metrics, config, extra=extra)
     print(summary)
-    return 0
+    return status or int(not digest_match)
+
+
+#: ``bench --history`` trend columns per baseline name; model
+#: workloads (Boot, HELR, ...) show the schedule totals.
+_TREND_METRICS = {
+    "functional": ("bootstrap_s", "key_switch_s", "ntt_batch_speedup",
+                   "ntt_lazy_speedup"),
+    "parallel": ("throughput_speedup", "serial_s", "makespan_s"),
+    "ras": ("corrected", "uncorrected", "overhead"),
+    "overload": ("goodput_qps", "shed_rate", "reject_rate"),
+    "faults": ("coverage", "injected", "mean_overhead"),
+}
 
 
 def _bench_history(args) -> int:
@@ -442,17 +433,8 @@ def _bench_history(args) -> int:
     baseline = (load_baseline(args.dir, args.workload)
                 if baseline_path(args.dir, args.workload).exists()
                 else None)
-    if args.workload == "functional":
-        trend_metrics = ("bootstrap_s", "key_switch_s",
-                         "ntt_batch_speedup", "ntt_lazy_speedup")
-    elif args.workload == "parallel":
-        trend_metrics = ("throughput_speedup", "serial_s", "makespan_s")
-    elif args.workload == "ras":
-        trend_metrics = ("corrected", "uncorrected", "overhead")
-    elif args.workload == "overload":
-        trend_metrics = ("goodput_qps", "shed_rate", "reject_rate")
-    else:
-        trend_metrics = ("total_time", "energy", "edp")
+    trend_metrics = _TREND_METRICS.get(args.workload,
+                                       ("total_time", "energy", "edp"))
     print(f"bench history: {args.workload} ({len(entries)} run(s))")
     print(render_history(entries, baseline, metrics=trend_metrics))
     return 0
@@ -461,14 +443,10 @@ def _bench_history(args) -> int:
 def cmd_bench(args) -> int:
     if args.history:
         return _bench_history(args)
-    if args.workload == "functional":
-        return _bench_functional(args)
-    if args.workload == "parallel":
-        return _bench_parallel(args)
-    if args.workload == "overload":
-        return _bench_overload(args)
-    if args.workload == "ras":
-        return _bench_ras(args)
+    special = {"functional": _bench_functional, "parallel": _bench_parallel,
+               "overload": _bench_overload, "ras": _bench_ras}
+    if args.workload in special:
+        return special[args.workload](args)
     built = _bench_framework(args)
     if built is None:
         return 1
@@ -478,57 +456,18 @@ def cmd_bench(args) -> int:
     config = {"gpu": framework.gpu.name,
               "pim": pim.name if pim else None,
               "library": args.library}
-    if args.check:
-        path = baseline_path(args.dir, args.workload)
-        if not path.exists():
-            print(f"no baseline at {path}; run `anaheim-repro bench "
-                  f"--workload {args.workload}` first")
-            return 2
-        baseline = load_baseline(args.dir, args.workload)
-        regressions = check_baseline(baseline, report,
-                                     tolerance=args.tolerance)
-        if regressions:
-            print(f"{args.workload}: {len(regressions)} metric(s) outside "
-                  f"±{args.tolerance:.0%} of {path}:")
-            for regression in regressions:
-                print(f"  {regression.describe()}")
-            return 1
-        print(f"{args.workload}: all metrics within ±{args.tolerance:.0%} "
-              f"of {path}")
-        return 0
-    path = write_baseline(args.dir, args.workload, report, config=config)
-    append_history(args.dir, args.workload, baseline_metrics(report),
-                   config=config)
-    print(f"wrote baseline {path} "
-          f"(total {format_seconds(report.total_time)}, "
-          f"{report.energy:.2f}J)")
-    return 0
-
-
-def _faults_baseline_metrics(result: dict) -> dict:
-    """Deterministic analytic-campaign metrics for BENCH_faults.json."""
-    agg = result.get("analytic_aggregate", {})
-    runs = result.get("analytic", [])
-    return {
-        "injected": agg.get("injected", 0),
-        "detected": agg.get("detected", 0),
-        "coverage": agg.get("coverage", 1.0),
-        "recovered_retry": agg.get("recovered_retry", 0),
-        "recovered_fallback": agg.get("recovered_fallback", 0),
-        "unrecovered": agg.get("unrecovered", 0),
-        "mean_overhead": agg.get("mean_overhead", 0.0),
-        "clean_time_s": sum(r["clean_time_s"] for r in runs),
-        "faulted_time_s": sum(r["faulted_time_s"] for r in runs),
-        "verify_time_s": sum(r["verify_time_s"] for r in runs),
-    }
+    return _baseline_gate(
+        args, args.workload, baseline_metrics(report), config,
+        summary=(f"total {format_seconds(report.total_time)}, "
+                 f"{report.energy:.2f}J"))
 
 
 def cmd_faults(args) -> int:
-    from repro.faults.campaign import run_matrix
+    from repro.faults.campaign import faults_baseline_metrics, run_matrix
     from repro.parallel import set_threads
 
     set_threads(args.threads)
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    seeds = _parse_list(args.seeds, "--seeds", int)
     stuck = tuple(args.stuck_site or ())
     result = run_matrix(
         seeds=seeds, scale=args.scale, workload=args.workload,
@@ -539,34 +478,15 @@ def cmd_faults(args) -> int:
         workers=args.workers, threads=args.threads)
     gate_ok = result["gate"]["passed"]
 
-    if args.manifest:
-        _write_artifact(args.manifest, result, "manifest",
-                        quiet=args.json)
-    if args.check:
-        path = baseline_path(args.dir, "faults")
-        if not path.exists():
-            print(f"no baseline at {path}; run `anaheim-repro faults "
-                  f"--write-baseline` first")
-            return 2
-        baseline = load_baseline(args.dir, "faults")
-        regressions = check_baseline_metrics(
-            baseline, _faults_baseline_metrics(result),
-            tolerance=args.tolerance)
-        if regressions:
-            print(f"faults: {len(regressions)} metric(s) outside "
-                  f"±{args.tolerance:.0%} of {path}:")
-            for regression in regressions:
-                print(f"  {regression.describe()}")
-            return 1
-        print(f"faults: all metrics within ±{args.tolerance:.0%} of {path}")
-        return 0 if gate_ok else 1
-    if args.write_baseline:
-        path = write_baseline_metrics(
-            args.dir, "faults", _faults_baseline_metrics(result),
+    _emit_artifacts(args, manifest=result)
+    if args.check or args.write_baseline:
+        status = _baseline_gate(
+            args, "faults", faults_baseline_metrics(result),
             config={"seeds": list(seeds), "scale": args.scale,
                     "workload": args.workload,
                     "stuck_sites": list(stuck)})
-        print(f"wrote baseline {path}")
+        if args.check:
+            return status or int(not gate_ok)
     if args.json:
         print(json.dumps(result, indent=2, default=str))
         return 0 if gate_ok else 1
@@ -600,6 +520,37 @@ def _ras_base(args):
     return ReliabilityConfig(seed=args.seed)
 
 
+def _pool_identity(args, run) -> tuple:
+    """Run ``run(workers, registry)`` at one worker and at ``--workers``
+    (4 when unset) and compare the arms byte for byte.
+
+    Returns ``(serial document, serial metrics digest, pool width,
+    failures)``; a document or digest mismatch is a failure.
+    """
+    workers = args.workers if args.workers > 1 else 4
+    serial_metrics = MetricsRegistry()
+    pool_metrics = MetricsRegistry()
+    serial_doc = run(1, serial_metrics)
+    pool_doc = run(workers, pool_metrics)
+    failures = []
+    if json.dumps(serial_doc, sort_keys=True) \
+            != json.dumps(pool_doc, sort_keys=True):
+        failures.append(f"document differs between --workers 1 and "
+                        f"--workers {workers}")
+    if serial_metrics.digest() != pool_metrics.digest():
+        failures.append(f"metrics digest differs between --workers 1 "
+                        f"and --workers {workers}")
+    return serial_doc, serial_metrics.digest(), workers, failures
+
+
+def _smoke_fail(name: str, failures) -> int:
+    """Print each failure and the ``<name> smoke: FAIL`` verdict."""
+    for failure in failures:
+        print(f"{name} smoke: {failure}")
+    print(f"{name} smoke: FAIL")
+    return 1
+
+
 def _ras_smoke(args) -> int:
     """Gating end-to-end memory-RAS check (``ras --smoke``).
 
@@ -612,28 +563,13 @@ def _ras_smoke(args) -> int:
     from repro.faults.ras_campaign import run_ras_matrix
 
     base = _ras_base(args)
-    workers = args.workers if args.workers > 1 else 4
-
-    def one_run(n_workers, registry):
-        return run_ras_matrix(base=base, workload=args.workload,
-                              functional=True, record_wall=False,
-                              metrics=registry, workers=n_workers,
-                              threads=args.threads)
-
-    serial_metrics = MetricsRegistry()
-    pool_metrics = MetricsRegistry()
-    serial_doc = one_run(1, serial_metrics)
-    pool_doc = one_run(workers, pool_metrics)
+    serial_doc, digest, workers, failures = _pool_identity(
+        args, lambda n_workers, registry: run_ras_matrix(
+            base=base, workload=args.workload, functional=True,
+            record_wall=False, metrics=registry, workers=n_workers,
+            threads=args.threads))
     cell = serial_doc["default_cell"]
     ras = cell["ras"]
-    failures = []
-    if json.dumps(serial_doc, sort_keys=True) \
-            != json.dumps(pool_doc, sort_keys=True):
-        failures.append(f"document differs between --workers 1 and "
-                        f"--workers {workers}")
-    if serial_metrics.digest() != pool_metrics.digest():
-        failures.append(f"metrics digest differs between --workers 1 "
-                        f"and --workers {workers}")
     if not serial_doc["gate"]["passed"]:
         for violation in serial_doc["gate"]["violations"]:
             failures.append(f"gate violation: {violation}")
@@ -649,17 +585,14 @@ def _ras_smoke(args) -> int:
         failures.append(f"scrub overhead {cell['overhead']:.4f} over "
                         f"bound {serial_doc['gate']['overhead_bound']}")
     if failures:
-        for failure in failures:
-            print(f"ras smoke: {failure}")
-        print("ras smoke: FAIL")
-        return 1
+        return _smoke_fail("ras", failures)
     print(f"ras smoke: PASS ({ras['errors_total']} errors: "
           f"{ras['corrected']} corrected, {ras['detected']} detected, "
           f"{ras['escaped']} escaped, 0 uncorrected; "
           f"{sum(ras['scrub_passes'].values())} scrub pass(es), "
           f"overhead {cell['overhead']:.2%}; documents and metric "
           f"digests identical for workers 1 and {workers}; "
-          f"digest {serial_metrics.digest()[:12]})")
+          f"digest {digest[:12]})")
     return 0
 
 
@@ -671,10 +604,10 @@ def cmd_ras(args) -> int:
     if args.smoke:
         return _ras_smoke(args)
     set_threads(args.threads)
-    rates = _parse_positive_floats(args.retention_rates,
-                                   "--retention-rates")
-    intervals = _parse_positive_floats(args.scrub_intervals,
-                                       "--scrub-intervals")
+    rates = _parse_list(args.retention_rates, "--retention-rates",
+                        _positive)
+    intervals = _parse_list(args.scrub_intervals, "--scrub-intervals",
+                            _positive)
     base = _ras_base(args)
     result = run_ras_matrix(
         retention_rates=rates, scrub_intervals=intervals, base=base,
@@ -683,9 +616,7 @@ def cmd_ras(args) -> int:
         threads=args.threads)
     gate_ok = result["gate"]["passed"]
 
-    if args.manifest:
-        _write_artifact(args.manifest, result, "manifest",
-                        quiet=args.json)
+    _emit_artifacts(args, manifest=result)
     if args.check or args.write_baseline:
         if base.retention_rate not in rates \
                 or base.scrub_interval_s not in intervals:
@@ -693,35 +624,14 @@ def cmd_ras(args) -> int:
                   "the sweep must include the default retention rate "
                   "and scrub interval", file=sys.stderr)
             return 1
-        metrics = ras_baseline_metrics(result)
-    if args.check:
-        path = baseline_path(args.dir, "ras")
-        if not path.exists():
-            print(f"no baseline at {path}; run `anaheim-repro ras "
-                  f"--write-baseline` first")
-            return 2
-        baseline = load_baseline(args.dir, "ras")
-        regressions = check_baseline_metrics(baseline, metrics,
-                                             tolerance=args.tolerance)
-        if regressions:
-            print(f"ras: {len(regressions)} metric(s) outside "
-                  f"±{args.tolerance:.0%} of {path}:")
-            for regression in regressions:
-                print(f"  {regression.describe()}")
-            return 1
-        print(f"ras: all metrics within ±{args.tolerance:.0%} of {path}")
-        return 0 if gate_ok else 1
-    if args.write_baseline:
-        path = write_baseline_metrics(
-            args.dir, "ras", metrics,
+        status = _baseline_gate(
+            args, "ras", ras_baseline_metrics(result),
             config={"seed": args.seed, "workload": args.workload,
                     "retention_rates": list(rates),
                     "scrub_intervals": list(intervals),
                     "config_digest": base.digest()})
-        append_history(args.dir, "ras", metrics,
-                       config={"seed": args.seed,
-                               "workload": args.workload})
-        print(f"wrote baseline {path}")
+        if args.check:
+            return status or int(not gate_ok)
     if args.json:
         print(json.dumps(result, indent=2, default=str))
         return 0 if gate_ok else 1
@@ -755,32 +665,48 @@ def cmd_ras(args) -> int:
     return 0 if gate_ok else 1
 
 
+def _positive(token) -> float:
+    """A strictly positive, finite float; ``ValueError`` otherwise."""
+    value = float(token)
+    if not 0 < value < float("inf"):
+        raise ValueError(f"{token!r} is not positive and finite")
+    return value
+
+
 def _parse_positive_float(text, name: str) -> float:
     """A strictly positive float from a CLI token.
 
     RAS flags are declared as strings and parsed here so a bad value
     raises :class:`ParameterError` — one line on stderr and exit 1,
-    not argparse's usage dump.
+    not argparse's usage dump.  ``None`` (flag unset) passes through.
     """
     if text is None:
         return None
     try:
-        value = float(text)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{name} must be a number, got {text!r}")
-    if not value > 0 or value != value or value == float("inf"):
+        return _positive(text)
+    except ValueError:
         raise ParameterError(f"{name} must be positive and finite, "
-                             f"got {text!r}")
-    return value
+                             f"got {text!r}") from None
 
 
-def _parse_positive_floats(text, name: str) -> tuple:
-    """A comma-separated list of strictly positive floats."""
+def _parse_list(text, name: str, convert) -> tuple:
+    """A comma-separated CLI list, each token through ``convert``.
+
+    A token ``convert`` rejects with ``ValueError``, or an empty list,
+    is a one-line :class:`ParameterError` (exit 1), not a traceback.
+    """
     tokens = [token.strip() for token in text.split(",") if token.strip()]
     if not tokens:
         raise ParameterError(f"{name} must list at least one value, "
                              f"got {text!r}")
-    return tuple(_parse_positive_float(token, name) for token in tokens)
+    values = []
+    for token in tokens:
+        try:
+            values.append(convert(token))
+        except ValueError:
+            raise ParameterError(f"{name}: bad value {token!r} in "
+                                 f"{text!r}") from None
+    return tuple(values)
 
 
 def _serve_policy(args):
@@ -793,7 +719,7 @@ def _serve_policy(args):
         checkpoint_every=args.checkpoint_every,
         degraded_after=args.degraded_after,
         gpu_only_after=args.gpu_only_after,
-        seeds=tuple(int(s) for s in args.seeds.split(",")),
+        seeds=_parse_list(args.seeds, "--seeds", int),
         fault_seed=args.fault_seed,
         fault_scale=args.scale,
         stuck_sites=tuple(args.stuck_site or ()),
@@ -815,38 +741,29 @@ def _admission_policy(args):
         brownout_deadline_factor=args.brownout_deadline_factor)
 
 
-def _overload_traffic(args):
-    """(arrival spec, tenants, chaos events) from the CLI flags."""
-    from repro.serving import parse_arrival_spec, parse_tenants
+def _run_overload(args, workers=None, metrics=None, on_unit=None):
+    """One ``serve --arrivals`` pass: simulate admission, execute."""
+    from repro.parallel import set_threads
+    from repro.serving import (parse_arrival_spec, parse_tenants,
+                               run_overload_serve)
     from repro.serving.overload import chaos_events
+    set_threads(args.threads)
     tenants = parse_tenants(args.tenants)
     spec = parse_arrival_spec(args.arrivals, args.duration,
                               seed=args.seed)
-    chaos = (chaos_events(args.fault_seed, args.duration,
-                          scale=args.scale)
+    chaos = (chaos_events(args.fault_seed, args.duration, scale=args.scale)
              if args.fault_seed is not None else ())
-    return spec, tenants, chaos
-
-
-def _run_overload(args, workers=None, metrics=None, worker_metrics=None,
-                  on_unit=None):
-    """One ``serve --arrivals`` pass: simulate admission, execute."""
-    from repro.parallel import set_threads
-    from repro.serving import run_overload_serve
-    set_threads(args.threads)
-    spec, tenants, chaos = _overload_traffic(args)
-    gpu = GPUS[args.gpu]
-    pim = None if args.pim == "none" else _pim_for(args.gpu, args.pim)
+    gpu, pim, library = _target(args)
+    workers = workers if workers is not None else args.workers
     return run_overload_serve(
         spec, tenants, _admission_policy(args), _serve_policy(args),
-        gpu=gpu, pim=pim, library=LIBRARIES[args.library], chaos=chaos,
-        metrics=metrics, workers=workers if workers is not None
-        else args.workers, threads=args.threads,
+        gpu=gpu, pim=pim, library=library, chaos=chaos,
+        metrics=metrics, workers=workers, threads=args.threads,
         checkpoint_path=getattr(args, "checkpoint", None),
         resume_path=getattr(args, "resume", None),
         checkpoint_keep=getattr(args, "checkpoint_keep", None),
         max_units=getattr(args, "max_units", None), on_unit=on_unit,
-        worker_metrics=worker_metrics)
+        worker_metrics=MetricsRegistry() if workers > 1 else None)
 
 
 def _admission_lines(summary) -> list:
@@ -875,36 +792,45 @@ def _admission_lines(summary) -> list:
     return lines
 
 
-def _serve_overload(args) -> int:
-    """serve --arrivals: the end-to-end overload-protected pipeline."""
-    metrics = MetricsRegistry()
-    worker_metrics = MetricsRegistry() if args.workers > 1 else None
-    document, runner = _run_overload(args, metrics=metrics,
-                                     worker_metrics=worker_metrics)
-    summary = document["admission"]["summary"]
-    if args.manifest:
-        _write_artifact(args.manifest, document, "manifest",
-                        quiet=args.json)
-    if args.json:
-        print(json.dumps(document, indent=2))
-    else:
-        rows = []
-        for job in document["jobs"]:
-            done = sum(1 for u in job["units"].values()
-                       if u.get("status") == "ok")
-            rows.append([job["id"], job["kind"], job["status"],
-                         f"{done}/{len(job['units'])}", job["retries"]])
-        print(format_table(
-            ["job", "kind", "status", "units", "retries"], rows,
-            title=f"serve: {len(document['jobs'])} dispatched job(s), "
-                  f"resumed {runner.resumed_units} unit(s)"))
-        for line in _admission_lines(summary):
-            print(line)
-        if document["interrupted"]:
-            print("interrupted by --max-units; progress checkpointed")
+def _serve_exit(document) -> int:
+    """2 when interrupted by --max-units, else 0 if every job is ok."""
     if document["interrupted"]:
         return 2
     return 0 if document["ok"] else 1
+
+
+def _serve_report(args, document, runner, jobs_noun="job(s)",
+                  lines=()) -> int:
+    """Manifest, then the serve document as JSON or as a job table
+    followed by ``lines``; returns the serve exit code."""
+    _emit_artifacts(args, manifest=document)
+    if args.json:
+        print(json.dumps(document, indent=2))
+        return _serve_exit(document)
+    rows = []
+    for job in document["jobs"]:
+        done = sum(1 for u in job["units"].values()
+                   if u.get("status") == "ok")
+        rows.append([job["id"], job["kind"], job["status"],
+                     f"{done}/{len(job['units'])}", job["retries"],
+                     format_seconds(job["service_time_s"])])
+    print(format_table(
+        ["job", "kind", "status", "units", "retries", "backoff"], rows,
+        title=f"serve: {len(document['jobs'])} {jobs_noun}, "
+              f"resumed {runner.resumed_units} unit(s)"))
+    for line in lines:
+        print(line)
+    if document["interrupted"]:
+        print("interrupted by --max-units; progress checkpointed")
+    return _serve_exit(document)
+
+
+def _serve_overload(args) -> int:
+    """serve --arrivals: the end-to-end overload-protected pipeline."""
+    document, runner = _run_overload(args, metrics=MetricsRegistry())
+    return _serve_report(
+        args, document, runner, "dispatched job(s)",
+        _admission_lines(document["admission"]["summary"]))
 
 
 def _overload_smoke(args) -> int:
@@ -916,23 +842,10 @@ def _overload_smoke(args) -> int:
     overload actually engaged (something rejected or shed); and that
     the admit/complete/shed accounting conserves every offered job.
     """
-    serial_metrics = MetricsRegistry()
-    pool_metrics = MetricsRegistry()
-    workers = args.workers if args.workers > 1 else 4
-    serial_doc, _ = _run_overload(args, workers=1,
-                                  metrics=serial_metrics)
-    pool_doc, _ = _run_overload(args, workers=workers,
-                                metrics=pool_metrics,
-                                worker_metrics=MetricsRegistry())
+    serial_doc, digest, workers, failures = _pool_identity(
+        args, lambda n_workers, registry: _run_overload(
+            args, workers=n_workers, metrics=registry)[0])
     summary = serial_doc["admission"]["summary"]
-    failures = []
-    if json.dumps(serial_doc, sort_keys=True) \
-            != json.dumps(pool_doc, sort_keys=True):
-        failures.append(f"document differs between --workers 1 and "
-                        f"--workers {workers}")
-    if serial_metrics.digest() != pool_metrics.digest():
-        failures.append(f"metrics digest differs between --workers 1 "
-                        f"and --workers {workers}")
     if summary["rejected_total"] + summary["shed_total"] == 0:
         failures.append("overload never engaged (nothing rejected or "
                         "shed); raise --arrivals rate")
@@ -947,16 +860,13 @@ def _overload_smoke(args) -> int:
                         f"the simulation dispatched "
                         f"{summary['completed']}")
     if failures:
-        for failure in failures:
-            print(f"overload smoke: {failure}")
-        print("overload smoke: FAIL")
-        return 1
+        return _smoke_fail("overload", failures)
     print(f"overload smoke: PASS (offered {summary['offered']}, "
           f"admitted {summary['admitted']}, rejected "
           f"{summary['rejected_total']}, shed {summary['shed_total']}, "
           f"completed {summary['completed']}; decisions, documents, "
           f"and metric digests identical for workers 1 and {workers}; "
-          f"digest {serial_metrics.digest()[:12]})")
+          f"digest {digest[:12]})")
     return 0
 
 
@@ -964,9 +874,8 @@ def cmd_soak(args) -> int:
     """Chaos soak campaign: overload x chaos grid on the sim clock."""
     from repro.serving import parse_tenants
     from repro.serving.soak import run_soak
-    gpu = GPUS[args.gpu]
-    pim = None if args.pim == "none" else _pim_for(args.gpu, args.pim)
-    loads = tuple(float(token) for token in args.loads.split(","))
+    gpu, pim, library = _target(args)
+    loads = _parse_list(args.loads, "--loads", float)
     chaos_kinds = tuple(args.chaos.split(","))
     for kind in chaos_kinds:
         if kind not in ("none", "faults"):
@@ -977,14 +886,11 @@ def cmd_soak(args) -> int:
         seed=args.seed, duration_s=args.duration, loads=loads,
         chaos_kinds=chaos_kinds, process=args.process,
         tenants=parse_tenants(args.tenants),
-        policy=_admission_policy(args), gpu=gpu, pim=pim,
-        library=LIBRARIES[args.library],
+        policy=_admission_policy(args), gpu=gpu, pim=pim, library=library,
         fault_seed=args.fault_seed if args.fault_seed is not None else 0,
         fault_scale=args.scale)
     gate = document["gate"]
-    if args.manifest:
-        _write_artifact(args.manifest, document, "manifest",
-                        quiet=args.json)
+    _emit_artifacts(args, manifest=document)
     if args.json:
         print(json.dumps(document, indent=2))
         return 0 if gate["passed"] else 1
@@ -1020,10 +926,8 @@ def _bench_overload(args) -> int:
     """
     from repro.serving.soak import (overload_bench_cell,
                                     overload_bench_metrics)
-    gpu = GPUS[args.gpu]
-    pim = None if args.pim == "none" else _pim_for(args.gpu, args.pim)
-    cell = overload_bench_cell(gpu=gpu, pim=pim,
-                               library=LIBRARIES[args.library])
+    gpu, pim, library = _target(args)
+    cell = overload_bench_cell(gpu=gpu, pim=pim, library=library)
     if not cell["passed"]:
         for violation in cell["violations"]:
             print(f"overload: invariant violation: {violation}")
@@ -1037,29 +941,8 @@ def _bench_overload(args) -> int:
               "rate_qps": cell["rate_qps"], "gpu": gpu.name,
               "pim": pim.name if pim else None,
               "library": args.library}
-    if args.check:
-        path = baseline_path(args.dir, "overload")
-        if not path.exists():
-            print(f"no baseline at {path}; run `anaheim-repro bench "
-                  f"--workload overload` first")
-            return 2
-        baseline = load_baseline(args.dir, "overload")
-        regressions = check_baseline_metrics(baseline, metrics,
-                                             tolerance=args.tolerance)
-        if regressions:
-            print(f"overload: {len(regressions)} metric(s) outside "
-                  f"±{args.tolerance:.0%} of {path}:")
-            for regression in regressions:
-                print(f"  {regression.describe()}")
-            return 1
-        print(f"overload: all metrics within ±{args.tolerance:.0%} of "
-              f"{path} ({summary})")
-        return 0
-    path = write_baseline_metrics(args.dir, "overload", metrics,
-                                  config=config)
-    append_history(args.dir, "overload", metrics, config=config)
-    print(f"wrote baseline {path} ({summary})")
-    return 0
+    return _baseline_gate(args, "overload", metrics, config,
+                          summary=summary)
 
 
 def _bench_ras(args) -> int:
@@ -1073,8 +956,7 @@ def _bench_ras(args) -> int:
                                            run_ras_matrix)
     from repro.parallel import set_threads
     set_threads(args.threads)
-    gpu = GPUS[args.gpu]
-    pim = None if args.pim == "none" else _pim_for(args.gpu, args.pim)
+    gpu, pim, _ = _target(args)
     base = ReliabilityConfig()
     result = run_ras_matrix(base=base, functional=True,
                             record_wall=False, gpu=gpu, pim=pim,
@@ -1091,29 +973,7 @@ def _bench_ras(args) -> int:
     config = {"config_digest": base.digest(), "gpu": gpu.name,
               "pim": pim.name if pim else None,
               "workload": result["workload"]}
-    if args.check:
-        path = baseline_path(args.dir, "ras")
-        if not path.exists():
-            print(f"no baseline at {path}; run `anaheim-repro bench "
-                  f"--workload ras` first")
-            return 2
-        baseline = load_baseline(args.dir, "ras")
-        regressions = check_baseline_metrics(baseline, metrics,
-                                             tolerance=args.tolerance)
-        if regressions:
-            print(f"ras: {len(regressions)} metric(s) outside "
-                  f"±{args.tolerance:.0%} of {path}:")
-            for regression in regressions:
-                print(f"  {regression.describe()}")
-            return 1
-        print(f"ras: all metrics within ±{args.tolerance:.0%} of "
-              f"{path} ({summary})")
-        return 0
-    path = write_baseline_metrics(args.dir, "ras", metrics,
-                                  config=config)
-    append_history(args.dir, "ras", metrics, config=config)
-    print(f"wrote baseline {path} ({summary})")
-    return 0
+    return _baseline_gate(args, "ras", metrics, config, summary=summary)
 
 
 def _serve_runner(args, jobs, policy, checkpoint=None, resume=None,
@@ -1122,10 +982,8 @@ def _serve_runner(args, jobs, policy, checkpoint=None, resume=None,
     from repro.parallel import set_threads
     from repro.serving import JobRunner
     set_threads(args.threads)
-    gpu = GPUS[args.gpu]
-    pim = None if args.pim == "none" else _pim_for(args.gpu, args.pim)
-    return JobRunner(jobs, policy, gpu=gpu, pim=pim,
-                     library=LIBRARIES[args.library],
+    gpu, pim, library = _target(args)
+    return JobRunner(jobs, policy, gpu=gpu, pim=pim, library=library,
                      checkpoint_path=checkpoint, resume_path=resume,
                      checkpoint_keep=getattr(args, "checkpoint_keep",
                                              None),
@@ -1190,8 +1048,7 @@ def _serve_smoke(args) -> int:
         print(f"serve smoke: FAIL (expected GPU_ONLY degradation under "
               f"stuck sites {list(policy.stuck_sites)}; got {states})")
         return 1
-    if args.manifest:
-        _write_artifact(args.manifest, clean, "manifest", quiet=args.json)
+    _emit_artifacts(args, manifest=clean)
     n = len(clean["jobs"][0]["units"])
     pool = f"; {args.workers} workers" if args.workers > 1 else ""
     print(f"serve smoke: PASS ({n} units; resumed {runner.resumed_units} "
@@ -1216,29 +1073,7 @@ def cmd_serve(args) -> int:
     runner = _serve_runner(args, jobs, _serve_policy(args),
                            checkpoint=args.checkpoint, resume=args.resume,
                            max_units=args.max_units)
-    document = runner.run()
-    if args.manifest:
-        _write_artifact(args.manifest, document, "manifest",
-                        quiet=args.json)
-    if args.json:
-        print(json.dumps(document, indent=2))
-    else:
-        rows = []
-        for job in document["jobs"]:
-            done = sum(1 for u in job["units"].values()
-                       if u.get("status") == "ok")
-            rows.append([job["id"], job["kind"], job["status"],
-                         f"{done}/{len(job['units'])}", job["retries"],
-                         format_seconds(job["service_time_s"])])
-        print(format_table(
-            ["job", "kind", "status", "units", "retries", "backoff"],
-            rows, title=f"serve: {len(document['jobs'])} job(s), "
-                        f"resumed {runner.resumed_units} unit(s)"))
-        if document["interrupted"]:
-            print("interrupted by --max-units; progress checkpointed")
-    if document["interrupted"]:
-        return 2
-    return 0 if document["ok"] else 1
+    return _serve_report(args, runner.run(), runner)
 
 
 # -- Metrics & telemetry -------------------------------------------------------
@@ -1285,10 +1120,7 @@ def _metrics_smoke(args) -> int:
         failures.append("two identical runs produced different snapshot "
                         "digests")
     if failures:
-        for failure in failures:
-            print(f"metrics smoke: {failure}")
-        print("metrics smoke: FAIL")
-        return 1
+        return _smoke_fail("metrics", failures)
     print(f"metrics smoke: PASS ({len(parsed['samples'])} samples, "
           f"digest {first.digest()[:12]}, accounting error "
           f"{util.accounting_error:.2e})")
@@ -1346,17 +1178,14 @@ def cmd_metrics(args) -> int:
         return _metrics_smoke(args)
     registry = MetricsRegistry()
     events = EventLog()
-    util = None
     if args.workload == "functional":
         util_lines = _metrics_functional(args, registry, events)
     else:
-        gpu = GPUS[args.gpu]
+        gpu, pim, library = _target(args)
         params = paper_params()
         workload = apps.build(args.workload, params)
         if not _check_memory(workload, gpu):
             return 1
-        library = LIBRARIES[args.library]
-        pim = None if args.pim == "none" else _pim_for(args.gpu, args.pim)
         framework = AnaheimFramework(gpu, pim, library=library,
                                      keep_segments=True, metrics=registry)
         report = framework.run(workload.blocks, params.degree,
@@ -1387,27 +1216,32 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _top_overload(args) -> int:
-    """top --arrivals: per-unit progress, then the queue columns."""
-    from repro.serving.jobs import _unit_seconds
+class _UnitPrinter:
+    """``on_unit`` callback for ``top``: one progress line per landed
+    unit, counted against ``total`` when the unit count is known."""
 
-    done = {"n": 0}
+    def __init__(self, total=None):
+        self.total = total
+        self.done = 0
 
-    def on_unit(job, unit, doc, fresh):
-        done["n"] += 1
+    def __call__(self, job, unit, doc, fresh):
+        from repro.serving.jobs import _unit_seconds
+        self.done += 1
         status = doc.get("status", "ok")
         seconds = _unit_seconds(job.kind, doc)
         note = ("restored" if not fresh
                 else f"{format_seconds(seconds)} sim"
                 if seconds is not None else "-")
-        print(f"[{done['n']:>3}] {job.id:<16} {unit:<20} {status:<18} "
-              f"{note}")
+        count = f"{self.done:>3}" + (f"/{self.total}"
+                                     if self.total is not None else "")
+        print(f"[{count}] {job.id:<16} {unit:<20} {status:<18} {note}")
 
+
+def _top_overload(args) -> int:
+    """top --arrivals: per-unit progress, then the queue columns."""
     registry = MetricsRegistry()
-    worker_registry = MetricsRegistry() if args.workers > 1 else None
     document, runner = _run_overload(args, metrics=registry,
-                                     worker_metrics=worker_registry,
-                                     on_unit=on_unit)
+                                     on_unit=_UnitPrinter())
     summary = document["admission"]["summary"]
     queue = summary["queue"]
     print()
@@ -1424,16 +1258,13 @@ def _top_overload(args) -> int:
     if args.metrics_out:
         _write_text(args.metrics_out, registry.render_prometheus(),
                     "metrics (prom)")
-    if document["interrupted"]:
-        return 2
-    return 0 if document["ok"] else 1
+    return _serve_exit(document)
 
 
 def cmd_top(args) -> int:
     """Live-ish serve progress: a line per unit as it lands, then the
     latency/retry/degradation picture from the metrics registry."""
-    from repro.serving import JobRunner, parse_jobs
-    from repro.serving.jobs import _unit_seconds
+    from repro.serving import parse_jobs
 
     if args.arrivals:
         return _top_overload(args)
@@ -1444,17 +1275,7 @@ def cmd_top(args) -> int:
     policy = _serve_policy(args)
     registry = MetricsRegistry()
     total = sum(len(job.units(policy.seeds)) for job in jobs)
-    done = {"n": 0}
-
-    def on_unit(job, unit, doc, fresh):
-        done["n"] += 1
-        status = doc.get("status", "ok")
-        seconds = _unit_seconds(job.kind, doc)
-        note = ("restored" if not fresh
-                else f"{format_seconds(seconds)} sim"
-                if seconds is not None else "-")
-        print(f"[{done['n']:>3}/{total}] {job.id:<10} {unit:<20} "
-              f"{status:<18} {note}")
+    on_unit = _UnitPrinter(total)
 
     import time as _time
     worker_registry = MetricsRegistry() if args.workers > 1 else None
@@ -1472,7 +1293,7 @@ def cmd_top(args) -> int:
         return metric.value(**labels) if metric is not None else 0.0
 
     print()
-    print(f"units {done['n']}/{total} "
+    print(f"units {on_unit.done}/{total} "
           f"(restored {int(value('anaheim_serve_units_restored_total'))})"
           f"  retries {int(value('anaheim_serve_retries_total'))}"
           f"  backoff {format_seconds(value('anaheim_serve_backoff_seconds_total'))}"
@@ -1515,9 +1336,7 @@ def cmd_top(args) -> int:
             export.merge(worker_registry)
         _write_text(args.metrics_out, export.render_prometheus(),
                     "metrics (prom)")
-    if document["interrupted"]:
-        return 2
-    return 0 if document["ok"] else 1
+    return _serve_exit(document)
 
 
 def cmd_profile(args) -> int:
@@ -1559,28 +1378,58 @@ def cmd_profile(args) -> int:
 # -- Parser --------------------------------------------------------------------
 
 
-def _add_target_flags(parser, default_pim: str = "near-bank",
-                      extra_workloads=()) -> None:
+def _add_hardware_flags(parser) -> None:
+    """``--gpu/--pim/--library``, read back by :func:`_target`."""
+    parser.add_argument("--gpu", default="a100", choices=sorted(GPUS))
+    parser.add_argument("--pim", default="near-bank",
+                        choices=["near-bank", "custom-hbm", "none"])
+    parser.add_argument("--library", default="Cheddar",
+                        choices=sorted(LIBRARIES))
+
+
+def _add_target_flags(parser, extra_workloads=()) -> None:
     # Workload names are validated by apps.build (a clean one-line
     # error), not by argparse choices — the workload table is data, and
     # an unknown name should not dump a usage traceback.
     names = sorted(apps.WORKLOADS) + sorted(extra_workloads)
     parser.add_argument("--workload", required=True,
                         help=f"one of {', '.join(names)}")
-    parser.add_argument("--gpu", default="a100", choices=sorted(GPUS))
-    parser.add_argument("--pim", default=default_pim,
-                        choices=["near-bank", "custom-hbm", "none"])
-    parser.add_argument("--library", default="Cheddar",
-                        choices=sorted(LIBRARIES))
+    _add_hardware_flags(parser)
+
+
+def _add_document_flags(parser, document: str) -> None:
+    """``--json``/``--manifest`` for commands that build one document."""
+    parser.add_argument("--json", action="store_true",
+                        help=f"emit the {document} as JSON")
+    parser.add_argument("--manifest", metavar="FILE",
+                        help=f"write the {document} to a file")
+
+
+def _add_baseline_flags(parser, name: str, what: str) -> None:
+    """``--dir/--check/--tolerance/--write-baseline`` of BENCH_<name>."""
+    parser.add_argument("--dir", default=".",
+                        help=f"directory holding BENCH_{name}.json")
+    parser.add_argument("--write-baseline", action="store_true",
+                        help=f"record the {what} as BENCH_{name}.json")
+    parser.add_argument("--check", action="store_true",
+                        help=f"compare against the stored BENCH_{name}.json")
+    parser.add_argument("--tolerance", type=float, default=0.02)
+
+
+def _add_pool_flags(parser, workers: int = 1) -> None:
+    """``--workers/--threads``: worker processes and kernel threads."""
+    parser.add_argument("--workers", type=int, default=workers,
+                        help=f"worker processes for campaign/serve units "
+                             f"(default {workers}; documents and digests "
+                             f"byte-identical to --workers 1)")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="kernel threads per worker (threaded "
+                             "limb-plane NTT/BConv)")
 
 
 def _add_serve_flags(parser) -> None:
     """Target + ServePolicy flags shared by ``serve`` and ``top``."""
-    parser.add_argument("--gpu", default="a100", choices=sorted(GPUS))
-    parser.add_argument("--pim", default="near-bank",
-                        choices=["near-bank", "custom-hbm", "none"])
-    parser.add_argument("--library", default="Cheddar",
-                        choices=sorted(LIBRARIES))
+    _add_hardware_flags(parser)
     parser.add_argument("--seed", type=int, default=0,
                         help="service seed (drives backoff jitter)")
     parser.add_argument("--max-retries", type=int, default=2,
@@ -1613,12 +1462,7 @@ def _add_serve_flags(parser) -> None:
                         help="quarantined sites before GPU_ONLY")
     parser.add_argument("--checkpoint-every", type=int, default=1,
                         help="units between checkpoint writes (default 1)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker processes for fresh units (documents "
-                             "and digests byte-identical to --workers 1)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="kernel threads per worker (threaded "
-                             "limb-plane NTT/BConv)")
+    _add_pool_flags(parser)
 
 
 def _add_admission_flags(parser) -> None:
@@ -1698,12 +1542,7 @@ def build_parser() -> argparse.ArgumentParser:
                                               "overload", "ras"))
     bench.add_argument("--dir", default=".",
                        help="directory holding baseline files")
-    bench.add_argument("--workers", type=int, default=4,
-                       help="worker processes for the `parallel` "
-                            "workload (default 4)")
-    bench.add_argument("--threads", type=int, default=1,
-                       help="kernel threads per worker for the "
-                            "`parallel` workload")
+    _add_pool_flags(bench, workers=4)
     bench.add_argument("--units", type=int, default=8,
                        help="analytic campaign units for the `parallel` "
                             "workload (default 8)")
@@ -1747,24 +1586,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="omit the functional layer's wall-clock "
                              "field; the document becomes a pure "
                              "function of seeds/scale/workload")
-    faults.add_argument("--workers", type=int, default=1,
-                        help="worker processes for campaign units "
-                             "(results byte-identical to --workers 1)")
-    faults.add_argument("--threads", type=int, default=1,
-                        help="kernel threads per worker (threaded "
-                             "limb-plane NTT/BConv)")
-    faults.add_argument("--dir", default=".",
-                        help="directory holding BENCH_faults.json")
-    faults.add_argument("--write-baseline", action="store_true",
-                        help="record the analytic campaign metrics as "
-                             "BENCH_faults.json")
-    faults.add_argument("--check", action="store_true",
-                        help="compare against the stored BENCH_faults.json")
-    faults.add_argument("--tolerance", type=float, default=0.02)
-    faults.add_argument("--json", action="store_true",
-                        help="emit the full campaign document as JSON")
-    faults.add_argument("--manifest", metavar="FILE",
-                        help="write the campaign document to a file")
+    _add_pool_flags(faults)
+    _add_baseline_flags(faults, "faults", "analytic campaign metrics")
+    _add_document_flags(faults, "campaign document")
 
     ras = sub.add_parser(
         "ras", help="run the memory RAS campaign matrix (retention "
@@ -1787,28 +1611,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="omit the functional layer's wall-clock "
                           "field; the document becomes a pure "
                           "function of the seed and grid")
-    ras.add_argument("--workers", type=int, default=1,
-                     help="worker processes for campaign cells "
-                          "(results byte-identical to --workers 1)")
-    ras.add_argument("--threads", type=int, default=1,
-                     help="kernel threads per worker")
-    ras.add_argument("--dir", default=".",
-                     help="directory holding BENCH_ras.json")
-    ras.add_argument("--write-baseline", action="store_true",
-                     help="record the default-cell metrics as "
-                          "BENCH_ras.json")
-    ras.add_argument("--check", action="store_true",
-                     help="compare against the stored BENCH_ras.json")
-    ras.add_argument("--tolerance", type=float, default=0.02)
+    _add_pool_flags(ras)
+    _add_baseline_flags(ras, "ras", "default-cell metrics")
     ras.add_argument("--smoke", action="store_true",
                      help="gating self-check: serial vs pool documents "
                           "and metric digests byte-identical, gate "
                           "passed, zero uncorrected errors, scrub "
                           "overhead under the bound")
-    ras.add_argument("--json", action="store_true",
-                     help="emit the full campaign document as JSON")
-    ras.add_argument("--manifest", metavar="FILE",
-                     help="write the campaign document to a file")
+    _add_document_flags(ras, "campaign document")
 
     serve = sub.add_parser(
         "serve", help="execute jobs resiliently: deadlines, retries, "
@@ -1841,10 +1651,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "--arrivals, serial vs pool overload runs "
                             "must match byte-for-byte with shedding "
                             "active")
-    serve.add_argument("--json", action="store_true",
-                       help="emit the serve document as JSON")
-    serve.add_argument("--manifest", metavar="FILE",
-                       help="write the serve document to a file")
+    _add_document_flags(serve, "serve document")
 
     metrics_p = sub.add_parser(
         "metrics", help="run one instrumented workload and export its "
@@ -1853,11 +1660,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics_p.add_argument("--workload", default="HELR",
                            help=f"one of {', '.join(sorted(apps.WORKLOADS))}"
                                 f", functional (default HELR)")
-    metrics_p.add_argument("--gpu", default="a100", choices=sorted(GPUS))
-    metrics_p.add_argument("--pim", default="near-bank",
-                           choices=["near-bank", "custom-hbm", "none"])
-    metrics_p.add_argument("--library", default="Cheddar",
-                           choices=sorted(LIBRARIES))
+    _add_hardware_flags(metrics_p)
     metrics_p.add_argument("--format", default="prom",
                            choices=["prom", "json", "jsonl"],
                            help="export format (default: Prometheus text)")
@@ -1896,11 +1699,7 @@ def build_parser() -> argparse.ArgumentParser:
         "soak", help="chaos soak: overload x chaos campaign grid on the "
                      "simulated clock, gated on admit/shed conservation "
                      "invariants")
-    soak.add_argument("--gpu", default="a100", choices=sorted(GPUS))
-    soak.add_argument("--pim", default="near-bank",
-                      choices=["near-bank", "custom-hbm", "none"])
-    soak.add_argument("--library", default="Cheddar",
-                      choices=sorted(LIBRARIES))
+    _add_hardware_flags(soak)
     soak.add_argument("--seed", type=int, default=0,
                       help="traffic seed (default 0)")
     soak.add_argument("--duration", type=float, default=2.0,
@@ -1918,10 +1717,7 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--scale", type=float, default=1.0,
                       help="fault-rate multiplier for chaos cells")
     _add_admission_flags(soak)
-    soak.add_argument("--json", action="store_true",
-                      help="emit the campaign document as JSON")
-    soak.add_argument("--manifest", metavar="FILE",
-                      help="write the campaign document to a file")
+    _add_document_flags(soak, "campaign document")
     return parser
 
 

@@ -27,6 +27,7 @@ field the functional layer reports).
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
@@ -61,29 +62,59 @@ def _record_summary(metrics, layer: str, summary: dict) -> None:
             counter.inc(value, layer=layer, event=event)
 
 
+def guarded_bootstrap(sess: guard.FaultSession) -> tuple:
+    """Bootstrap the shared fixture with ``sess`` attached; returns
+    ``(decrypt error, wall seconds)`` after the invariant check.
+
+    Key generation and the one-time warmup bootstrap run *outside* the
+    session (the paper's fault model targets the PIM datapath at
+    execution time, not key material at rest).
+    """
+    from repro.ckks.fixture import bootstrap_fixture
+
+    fx = bootstrap_fixture()
+    start = time.perf_counter()
+    with guard.attach(sess):
+        refreshed = fx.bts.bootstrap(fx.ct_low)
+    wall_s = time.perf_counter() - start
+    refreshed.check_invariants()
+    return fx.decrypt_error(refreshed), wall_s
+
+
+def clean_and_guarded(workload: str, gpu, pim, guarded_label: str,
+                      **options) -> tuple:
+    """``(clean, guarded)`` schedule reports of one paper-scale
+    workload: one build, scheduled plain and with the framework
+    ``options`` (fault plan, RAS config, health, ...) attached.
+    ``gpu``/``pim`` default to the A100 + near-bank pair."""
+    from repro.core.framework import AnaheimFramework
+    from repro.gpu.configs import A100_80GB
+    from repro.pim.configs import A100_NEAR_BANK
+    from repro.workloads.applications import PaperParams, build
+
+    gpu = gpu if gpu is not None else A100_80GB
+    pim = pim if pim is not None else A100_NEAR_BANK
+    params = PaperParams()
+    wl = build(workload, params)
+    clean = AnaheimFramework(gpu, pim=pim).run(
+        wl.blocks, params.degree, label=f"{workload} (clean)")
+    guarded = AnaheimFramework(gpu, pim=pim, **options).run(
+        wl.blocks, params.degree, label=f"{workload} ({guarded_label})")
+    return clean.report, guarded.report
+
+
 def run_functional_campaign(plan: FaultPlan,
                             max_error: float = MAX_DECRYPT_ERROR,
                             record_wall: bool = True,
                             metrics=None) -> dict:
     """Bootstrap a ciphertext with faults live; report coverage.
 
-    Key generation and the one-time warmup bootstrap run *outside* the
-    fault session (the paper's fault model targets the PIM datapath at
-    execution time, not key material at rest).  ``record_wall=False``
-    omits the wall-clock field so the result is a pure function of the
-    plan — required for byte-identical checkpoint/resume.
+    ``record_wall=False`` omits the wall-clock field so the result is a
+    pure function of the plan — required for byte-identical
+    checkpoint/resume.
     """
-    from repro.ckks.fixture import bootstrap_fixture
-
-    fx = bootstrap_fixture()
-
-    start = time.perf_counter()
-    with guard.session(plan) as sess:
-        refreshed = fx.bts.bootstrap(fx.ct_low)
-    wall_s = time.perf_counter() - start
-
-    refreshed.check_invariants()
-    err = fx.decrypt_error(refreshed)
+    sess = guard.FaultSession(plan)
+    err, wall_s = guarded_bootstrap(sess)
     summary = sess.log.summary()
     result = {
         "layer": "functional",
@@ -111,26 +142,12 @@ def run_analytic_campaign(plan: FaultPlan, workload: str = "Boot",
     layer's degradation machinery into the faulted run; its state lands
     in the result's ``summary`` (via ``report.fault_summary``).
     """
-    from repro.core.framework import AnaheimFramework
-    from repro.gpu.configs import A100_80GB
-    from repro.pim.configs import A100_NEAR_BANK
-    from repro.workloads.applications import PaperParams, build
-
-    gpu = gpu if gpu is not None else A100_80GB
-    pim = pim if pim is not None else A100_NEAR_BANK
-    params = PaperParams()
-    wl = build(workload, params)
-
-    clean = AnaheimFramework(gpu, pim=pim).run(
-        wl.blocks, params.degree, label=f"{workload} (clean)")
-    faulted = AnaheimFramework(
-        gpu, pim=pim, fault_plan=plan, health=health, breakers=breakers,
-        kernel_timeout=kernel_timeout).run(
-        wl.blocks, params.degree, label=f"{workload} (faulted)")
-
-    clean_t = clean.report.total_time
-    fault_t = faulted.report.total_time
-    summary = dict(faulted.report.fault_summary)
+    clean, faulted = clean_and_guarded(
+        workload, gpu, pim, "faulted", fault_plan=plan, health=health,
+        breakers=breakers, kernel_timeout=kernel_timeout)
+    clean_t = clean.total_time
+    fault_t = faulted.total_time
+    summary = dict(faulted.fault_summary)
     _record_summary(metrics, "analytic", summary)
     return {
         "layer": "analytic",
@@ -175,24 +192,6 @@ def run_campaign_unit(layer: str, seed: int, *, scale: float = 1.0,
                                  health=health, breakers=breakers,
                                  kernel_timeout=kernel_timeout,
                                  metrics=metrics)
-
-
-def _campaign_pool_unit(task):
-    """Worker-side campaign cell (module-level, hence picklable).
-
-    Metrics land in a fresh per-unit registry that travels back with
-    the result so the parent can merge registries in unit order —
-    keeping the merged snapshot byte-identical to a serial sweep.
-    """
-    (layer, seed, scale, workload, stuck_sites, record_wall, gpu, pim,
-     collect_metrics) = task
-    from repro.obs.metrics import MetricsRegistry
-    registry = MetricsRegistry() if collect_metrics else None
-    result = run_campaign_unit(
-        layer, seed, scale=scale, workload=workload,
-        stuck_sites=stuck_sites, record_wall=record_wall,
-        gpu=gpu, pim=pim, metrics=registry)
-    return result, registry
 
 
 def _aggregate(runs) -> dict:
@@ -257,61 +256,42 @@ def run_matrix(seeds=(0, 1, 2), scale: float = 1.0,
                functional: bool = True, analytic: bool = True,
                coverage_threshold: float = COVERAGE_THRESHOLD,
                gpu=None, pim=None, record_wall: bool = True,
-               completed: dict | None = None, on_unit=None,
                metrics=None, workers: int = 1,
                threads: int = 1) -> dict:
     """The campaign matrix: (layer x seed) sweep plus the gate verdict.
 
-    ``completed`` (from a checkpoint) short-circuits already-finished
-    units; ``on_unit(key, result)`` fires after each fresh unit so a
-    caller can checkpoint incrementally.  ``workers > 1`` fans the
-    missing cells out across a :class:`~repro.parallel.WorkerPool`
-    (each cell is a pure function of its arguments, so the assembled
-    document is byte-identical to a serial sweep); a crashed worker
-    costs one cell, re-run inline.  ``threads`` sets each worker's
-    kernel thread count.
+    The cells run through :func:`repro.parallel.run_units` across
+    ``workers`` processes of ``threads`` kernel threads each; every
+    cell is a pure function of its arguments, so the assembled
+    document is byte-identical for any worker count.
     """
-    results = dict(completed or {})
-    missing = [(layer, seed)
-               for layer, seed in campaign_units(seeds, functional,
-                                                 analytic)
-               if unit_key(layer, seed) not in results]
-    if workers > 1 and len(missing) > 1:
-        from repro.parallel import WorkerPool, worker_warmup
-        tasks = [(layer, seed, scale, workload, tuple(stuck_sites),
-                  record_wall, gpu, pim, metrics is not None)
-                 for layer, seed in missing]
-        with WorkerPool(workers, initializer=worker_warmup,
-                        initargs=(threads,)) as pool:
-            outcomes = pool.run(_campaign_pool_unit, tasks)
-        for (layer, seed), task, outcome in zip(missing, tasks,
-                                                outcomes):
-            if outcome.crashed:
-                result, registry = _campaign_pool_unit(task)
-            else:
-                result, registry = outcome.value
-            if registry is not None and metrics is not None:
-                metrics.merge(registry)
-            key = unit_key(layer, seed)
-            results[key] = result
-            if on_unit is not None:
-                on_unit(key, result)
-    else:
-        # Serial cells still record into per-unit registries merged in
-        # order — the same float-summation grouping the pool produces,
-        # so the merged snapshot digest-matches any worker count.
-        from repro.obs.metrics import MetricsRegistry
-        for layer, seed in missing:
-            key = unit_key(layer, seed)
-            registry = MetricsRegistry() if metrics is not None else None
-            results[key] = run_campaign_unit(
-                layer, seed, scale=scale, workload=workload,
-                stuck_sites=stuck_sites, record_wall=record_wall,
-                gpu=gpu, pim=pim, metrics=registry)
-            if registry is not None:
-                metrics.merge(registry)
-            if on_unit is not None:
-                on_unit(key, results[key])
+    from repro.parallel import run_units
+    units = campaign_units(seeds, functional, analytic)
+    cell = partial(run_campaign_unit, scale=scale, workload=workload,
+                   stuck_sites=tuple(stuck_sites),
+                   record_wall=record_wall, gpu=gpu, pim=pim)
+    runs = run_units(cell, units, workers=workers, threads=threads,
+                     metrics=metrics)
+    results = {unit_key(*unit): run for unit, run in zip(units, runs)}
     return assemble_matrix(results, seeds, scale=scale,
                            stuck_sites=stuck_sites,
                            coverage_threshold=coverage_threshold)
+
+
+def faults_baseline_metrics(result: dict) -> dict:
+    """Flat, gateable metrics of the deterministic analytic campaign
+    for ``BENCH_faults.json`` write/check."""
+    agg = result.get("analytic_aggregate", {})
+    runs = result.get("analytic", [])
+    return {
+        "injected": agg.get("injected", 0),
+        "detected": agg.get("detected", 0),
+        "coverage": agg.get("coverage", 1.0),
+        "recovered_retry": agg.get("recovered_retry", 0),
+        "recovered_fallback": agg.get("recovered_fallback", 0),
+        "unrecovered": agg.get("unrecovered", 0),
+        "mean_overhead": agg.get("mean_overhead", 0.0),
+        "clean_time_s": sum(r["clean_time_s"] for r in runs),
+        "faulted_time_s": sum(r["faulted_time_s"] for r in runs),
+        "verify_time_s": sum(r["verify_time_s"] for r in runs),
+    }

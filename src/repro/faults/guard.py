@@ -149,12 +149,17 @@ class FaultSession:
 
 
 @contextmanager
-def session(plan: FaultPlan, injector: FaultInjector | None = None):
-    """Attach a functional fault session for the duration of a block."""
+def attach(sess: FaultSession):
+    """Make ``sess`` the active session for the duration of a block."""
     global ACTIVE
     previous = ACTIVE
-    ACTIVE = FaultSession(plan, injector=injector)
+    ACTIVE = sess
     try:
-        yield ACTIVE
+        yield sess
     finally:
         ACTIVE = previous
+
+
+def session(plan: FaultPlan, injector: FaultInjector | None = None):
+    """Attach a functional fault session for the duration of a block."""
+    return attach(FaultSession(plan, injector=injector))

@@ -19,11 +19,12 @@ byte-identical to a serial sweep.
 
 from __future__ import annotations
 
-import time
+from functools import partial
 
 import numpy as np
 
 from repro.dram.reliability import ReliabilityConfig
+from repro.faults.campaign import clean_and_guarded, guarded_bootstrap
 from repro.faults.guard import FaultSession
 from repro.faults.plan import FaultModel, FaultPlan
 from repro.faults.ras import SecDedCode
@@ -146,25 +147,11 @@ def _record_ras_metrics(metrics, corrected: int, detected: int,
 def run_analytic_ras(config: ReliabilityConfig, workload: str = "Boot",
                      gpu=None, pim=None, metrics=None) -> dict:
     """One analytic grid cell: clean vs RAS-enabled schedule."""
-    from repro.core.framework import AnaheimFramework
-    from repro.gpu.configs import A100_80GB
-    from repro.pim.configs import A100_NEAR_BANK
-    from repro.workloads.applications import PaperParams, build
-
-    gpu = gpu if gpu is not None else A100_80GB
-    pim = pim if pim is not None else A100_NEAR_BANK
-    params = PaperParams()
-    wl = build(workload, params)
-
-    clean = AnaheimFramework(gpu, pim=pim).run(
-        wl.blocks, params.degree, label=f"{workload} (clean)")
-    guarded = AnaheimFramework(gpu, pim=pim, ras_config=config,
-                               metrics=metrics).run(
-        wl.blocks, params.degree, label=f"{workload} (ras)")
-
-    clean_t = clean.report.total_time
-    ras_t = guarded.report.total_time
-    ras = guarded.report.fault_summary["ras"]
+    clean, guarded = clean_and_guarded(workload, gpu, pim, "ras",
+                                       ras_config=config, metrics=metrics)
+    clean_t = clean.total_time
+    ras_t = guarded.total_time
+    ras = guarded.fault_summary["ras"]
     return {
         "layer": "analytic",
         "workload": workload,
@@ -185,24 +172,8 @@ def run_functional_ras(config: ReliabilityConfig,
     ``record_wall=False`` omits the wall-clock field so the result is
     a pure function of the config (the determinism contract).
     """
-    from repro.ckks.fixture import bootstrap_fixture
-
-    from repro.faults import guard
-
-    fx = bootstrap_fixture()
     sess = RasSession(config)
-
-    start = time.perf_counter()
-    previous = guard.ACTIVE
-    guard.ACTIVE = sess
-    try:
-        refreshed = fx.bts.bootstrap(fx.ct_low)
-    finally:
-        guard.ACTIVE = previous
-    wall_s = time.perf_counter() - start
-
-    refreshed.check_invariants()
-    err = fx.decrypt_error(refreshed)
+    err, wall_s = guarded_bootstrap(sess)
     summary = sess.log.summary()
     accounted = (sess.ecc_corrected + sess.ecc_detected
                  + sess.checksum_caught)
@@ -264,21 +235,6 @@ def run_ras_unit(kind: str, rate: float, interval: float, *,
                                   metrics=metrics)
     return run_analytic_ras(config, workload=workload, gpu=gpu, pim=pim,
                             metrics=metrics)
-
-
-def _ras_pool_unit(task):
-    """Worker-side RAS cell (module-level, hence picklable).  Metrics
-    land in a fresh per-unit registry merged in unit order by the
-    parent, keeping the merged snapshot byte-identical to a serial
-    sweep."""
-    (kind, rate, interval, base, workload, record_wall, gpu, pim,
-     collect_metrics) = task
-    from repro.obs.metrics import MetricsRegistry
-    registry = MetricsRegistry() if collect_metrics else None
-    result = run_ras_unit(kind, rate, interval, base=base,
-                          workload=workload, record_wall=record_wall,
-                          gpu=gpu, pim=pim, metrics=registry)
-    return result, registry
 
 
 def assemble_ras_matrix(results, retention_rates, scrub_intervals,
@@ -361,45 +317,20 @@ def run_ras_matrix(retention_rates=DEFAULT_RETENTION_RATES,
                    threads: int = 1) -> dict:
     """The full RAS campaign: grid sweep, surfaces, and gate verdict.
 
-    ``workers > 1`` fans the cells out across a worker pool; a crashed
-    worker costs one cell, re-run inline.  ``threads`` sets each
-    worker's kernel thread count.  Every cell is a pure function of
-    its arguments, so the document is byte-identical for any worker
-    count.
+    The cells run through :func:`repro.parallel.run_units` across
+    ``workers`` processes of ``threads`` kernel threads each.  Every
+    cell is a pure function of its arguments, so the document is
+    byte-identical for any worker count.
     """
+    from repro.parallel import run_units
     base = base if base is not None else ReliabilityConfig()
     units = ras_units(retention_rates, scrub_intervals, base=base,
                       functional=functional)
-    results = {}
-    if workers > 1 and len(units) > 1:
-        from repro.parallel import WorkerPool, worker_warmup
-        tasks = [(kind, rate, interval, base, workload, record_wall,
-                  gpu, pim, metrics is not None)
-                 for kind, rate, interval in units]
-        with WorkerPool(workers, initializer=worker_warmup,
-                        initargs=(threads,)) as pool:
-            outcomes = pool.run(_ras_pool_unit, tasks)
-        for (kind, rate, interval), task, outcome in zip(units, tasks,
-                                                         outcomes):
-            if outcome.crashed:
-                result, registry = _ras_pool_unit(task)
-            else:
-                result, registry = outcome.value
-            if registry is not None and metrics is not None:
-                metrics.merge(registry)
-            results[ras_unit_key(kind, rate, interval)] = result
-    else:
-        # Serial cells still record into per-unit registries merged in
-        # order — the same float-summation grouping the pool produces.
-        from repro.obs.metrics import MetricsRegistry
-        for kind, rate, interval in units:
-            registry = MetricsRegistry() if metrics is not None else None
-            results[ras_unit_key(kind, rate, interval)] = run_ras_unit(
-                kind, rate, interval, base=base, workload=workload,
-                record_wall=record_wall, gpu=gpu, pim=pim,
-                metrics=registry)
-            if registry is not None:
-                metrics.merge(registry)
+    cell = partial(run_ras_unit, base=base, workload=workload,
+                   record_wall=record_wall, gpu=gpu, pim=pim)
+    runs = run_units(cell, units, workers=workers, threads=threads,
+                     metrics=metrics)
+    results = {ras_unit_key(*unit): run for unit, run in zip(units, runs)}
     return assemble_ras_matrix(results, retention_rates,
                                scrub_intervals, base, workload,
                                functional, overhead_bound=overhead_bound)

@@ -26,8 +26,8 @@ This package makes runs of the reproduction *measurable*:
 """
 
 from repro.obs.baseline import (BaselineRegression, baseline_metrics,
-                                baseline_path, check_baseline, load_baseline,
-                                write_baseline)
+                                baseline_path, check_baseline_metrics,
+                                load_baseline, write_baseline_metrics)
 from repro.obs.export import (chrome_trace_from_report,
                               chrome_trace_from_tracer, report_dict,
                               run_manifest, write_json)
@@ -51,7 +51,7 @@ __all__ = [
     "UtilizationReport",
     "baseline_metrics",
     "baseline_path",
-    "check_baseline",
+    "check_baseline_metrics",
     "chrome_trace_from_report",
     "chrome_trace_from_tracer",
     "config_dict",
@@ -65,6 +65,6 @@ __all__ = [
     "render_span_tree",
     "report_dict",
     "run_manifest",
-    "write_baseline",
+    "write_baseline_metrics",
     "write_json",
 ]

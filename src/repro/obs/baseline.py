@@ -54,12 +54,8 @@ def baseline_metrics(report: ScheduleReport) -> dict:
 def write_baseline_metrics(directory, workload: str, metrics: dict,
                            config: dict | None = None,
                            extra: dict | None = None) -> Path:
-    """Write a ``BENCH_<workload>.json`` from an explicit metrics dict.
-
-    The report-based :func:`write_baseline` delegates here; functional
-    (wall-clock) benchmarks that have no ``ScheduleReport`` call this
-    directly.
-    """
+    """Write a ``BENCH_<workload>.json`` from an explicit metrics dict
+    (:func:`baseline_metrics` of a ``ScheduleReport`` for model runs)."""
     path = baseline_path(directory, workload)
     path.parent.mkdir(parents=True, exist_ok=True)
     document = {
@@ -71,12 +67,6 @@ def write_baseline_metrics(directory, workload: str, metrics: dict,
     document.update(extra or {})
     write_json(path, document)
     return path
-
-
-def write_baseline(directory, workload: str, report: ScheduleReport,
-                   config: dict | None = None) -> Path:
-    return write_baseline_metrics(directory, workload,
-                                  baseline_metrics(report), config=config)
 
 
 def load_baseline(directory, workload: str) -> dict:
@@ -107,12 +97,6 @@ def check_baseline_metrics(baseline: dict, current: dict,
                 metric=metric, baseline=reference, current=value,
                 tolerance=tolerance))
     return regressions
-
-
-def check_baseline(baseline: dict, report: ScheduleReport,
-                   tolerance: float = 0.02) -> list:
-    return check_baseline_metrics(baseline, baseline_metrics(report),
-                                  tolerance=tolerance)
 
 
 # -- Run history ---------------------------------------------------------------

@@ -22,6 +22,8 @@ Crashes are contained, not fatal: a dead worker process costs one unit
 and the pool rebuilds itself for the remaining units.
 """
 
+from functools import partial
+
 from repro.parallel.pool import PoolResult, WorkerPool, pool_timeline
 from repro.parallel.threads import (block_count, get_threads, partition,
                                     run_blocks, set_threads, thread_scope)
@@ -43,8 +45,40 @@ def worker_warmup(thread_count: int = 1) -> None:
     batch_ntt_context(params.degree, tuple(params.moduli))
 
 
+def _metered_unit(fn, collect_metrics: bool, task):
+    """Run ``fn(*task)`` into a fresh per-unit registry (or none) and
+    return both; module-level so a worker can unpickle it."""
+    from repro.obs.metrics import MetricsRegistry
+    registry = MetricsRegistry() if collect_metrics else None
+    return fn(*task, metrics=registry), registry
+
+
+def run_units(fn, tasks, *, workers: int, threads: int, metrics) -> list:
+    """``fn(*task, metrics=...)`` for every task, results in task order.
+
+    Units fan out across a warmed :class:`WorkerPool`; any
+    ``workers <= 1``, zero included, runs them inline.  A unit whose
+    worker crashed is re-run inline.  Each unit records into its own
+    registry, merged into ``metrics`` in task order — the same
+    float-summation grouping for any worker count, so the merged
+    snapshot digest never depends on ``workers``.
+    """
+    tasks = list(tasks)
+    unit = partial(_metered_unit, fn, metrics is not None)
+    with WorkerPool(max(workers, 1), initializer=worker_warmup,
+                    initargs=(threads,)) as pool:
+        outcomes = pool.run(unit, tasks)
+    results = []
+    for task, outcome in zip(tasks, outcomes):
+        result, registry = unit(task) if outcome.crashed else outcome.value
+        if registry is not None:
+            metrics.merge(registry)
+        results.append(result)
+    return results
+
+
 __all__ = [
-    "PoolResult", "WorkerPool", "pool_timeline",
+    "PoolResult", "WorkerPool", "pool_timeline", "run_units",
     "block_count", "get_threads", "partition", "run_blocks",
     "set_threads", "thread_scope", "worker_warmup",
 ]

@@ -16,9 +16,9 @@ keeping every observable output **byte-identical** to a serial run:
   crashed unit comes back marked ``crashed`` so the caller can feed it
   into its normal retry machinery in-process.
 
-``workers <= 1`` bypasses the executor entirely — the caller's serial
-path runs unchanged, which is what makes ``--workers 1`` ≡ the
-historical behavior by construction.
+``workers <= 1`` bypasses the executor entirely and runs the units
+inline, which is what makes ``--workers 1`` ≡ the historical serial
+behavior by construction.
 
 Throughput accounting follows the repo convention of charging costs to
 deterministic clocks: :func:`pool_timeline` replays a greedy

@@ -6,8 +6,8 @@ import pytest
 
 from repro.core.scheduler import ScheduleReport
 from repro.obs.baseline import (BASELINE_METRICS, baseline_metrics,
-                                baseline_path, check_baseline, load_baseline,
-                                write_baseline)
+                                baseline_path, check_baseline_metrics,
+                                load_baseline, write_baseline_metrics)
 
 
 def _report(total=1.0, gpu=0.6, pim=0.3) -> ScheduleReport:
@@ -23,10 +23,14 @@ def _report(total=1.0, gpu=0.6, pim=0.3) -> ScheduleReport:
     return report
 
 
+def _metrics(**report_fields) -> dict:
+    return baseline_metrics(_report(**report_fields))
+
+
 class TestWriteLoad:
     def test_roundtrip(self, tmp_path):
-        path = write_baseline(tmp_path, "Boot", _report(),
-                              config={"gpu": "A100 80GB"})
+        path = write_baseline_metrics(tmp_path, "Boot", _metrics(),
+                                      config={"gpu": "A100 80GB"})
         assert path == baseline_path(tmp_path, "Boot")
         assert path.name == "BENCH_Boot.json"
         doc = load_baseline(tmp_path, "Boot")
@@ -35,7 +39,8 @@ class TestWriteLoad:
         assert doc["metrics"]["total_time"] == pytest.approx(1.0)
 
     def test_creates_directory(self, tmp_path):
-        path = write_baseline(tmp_path / "nested" / "dir", "HELR", _report())
+        path = write_baseline_metrics(tmp_path / "nested" / "dir", "HELR",
+                                      _metrics())
         assert path.exists()
 
     def test_metrics_cover_declared_set(self):
@@ -46,36 +51,37 @@ class TestWriteLoad:
 
 class TestCheck:
     def test_identical_run_passes(self, tmp_path):
-        write_baseline(tmp_path, "Boot", _report())
+        write_baseline_metrics(tmp_path, "Boot", _metrics())
         baseline = load_baseline(tmp_path, "Boot")
-        assert check_baseline(baseline, _report()) == []
+        assert check_baseline_metrics(baseline, _metrics()) == []
 
     def test_perturbation_beyond_tolerance_fails(self, tmp_path):
-        write_baseline(tmp_path, "Boot", _report())
+        write_baseline_metrics(tmp_path, "Boot", _metrics())
         baseline = load_baseline(tmp_path, "Boot")
-        regressions = check_baseline(baseline, _report(total=1.10),
-                                     tolerance=0.02)
+        regressions = check_baseline_metrics(baseline, _metrics(total=1.10),
+                                             tolerance=0.02)
         metrics = {r.metric for r in regressions}
         assert "total_time" in metrics
         assert "edp" in metrics  # edp = energy * total_time moves too
 
     def test_within_tolerance_passes(self, tmp_path):
-        write_baseline(tmp_path, "Boot", _report())
+        write_baseline_metrics(tmp_path, "Boot", _metrics())
         baseline = load_baseline(tmp_path, "Boot")
-        assert check_baseline(baseline, _report(total=1.005, gpu=0.605),
-                              tolerance=0.02) == []
+        assert check_baseline_metrics(
+            baseline, _metrics(total=1.005, gpu=0.605),
+            tolerance=0.02) == []
 
     def test_speedup_also_flags(self, tmp_path):
         # Deterministic model: unexplained *improvements* are drift too.
-        write_baseline(tmp_path, "Boot", _report())
+        write_baseline_metrics(tmp_path, "Boot", _metrics())
         baseline = load_baseline(tmp_path, "Boot")
-        regressions = check_baseline(baseline, _report(total=0.5))
+        regressions = check_baseline_metrics(baseline, _metrics(total=0.5))
         assert any(r.metric == "total_time" for r in regressions)
 
     def test_describe_names_metric_and_values(self, tmp_path):
-        write_baseline(tmp_path, "Boot", _report())
+        write_baseline_metrics(tmp_path, "Boot", _metrics())
         baseline = load_baseline(tmp_path, "Boot")
-        (first, *_) = check_baseline(baseline, _report(total=2.0))
+        (first, *_) = check_baseline_metrics(baseline, _metrics(total=2.0))
         text = first.describe()
         assert first.metric in text
         assert "baseline" in text
@@ -83,12 +89,14 @@ class TestCheck:
     def test_zero_baseline_metric(self, tmp_path):
         report = _report()
         report.gpu_dram_bytes = 0.0
-        write_baseline(tmp_path, "Boot", report)
+        write_baseline_metrics(tmp_path, "Boot", baseline_metrics(report))
         baseline = load_baseline(tmp_path, "Boot")
-        assert check_baseline(baseline, report) == []
+        assert check_baseline_metrics(baseline,
+                                      baseline_metrics(report)) == []
         moved = _report()
         moved.gpu_dram_bytes = 1.0
-        regressions = check_baseline(baseline, moved)
+        regressions = check_baseline_metrics(baseline,
+                                             baseline_metrics(moved))
         assert any(r.metric == "gpu_dram_bytes" for r in regressions)
 
     def test_handwritten_baseline_json(self, tmp_path):
@@ -97,5 +105,5 @@ class TestCheck:
         path.write_text(json.dumps(
             {"workload": "X", "metrics": {"total_time": 1.0}}))
         baseline = load_baseline(tmp_path, "X")
-        assert check_baseline(baseline, _report()) == []
-        assert check_baseline(baseline, _report(total=1.5)) != []
+        assert check_baseline_metrics(baseline, _metrics()) == []
+        assert check_baseline_metrics(baseline, _metrics(total=1.5)) != []

@@ -413,6 +413,13 @@ class TestOverloadCommands:
                      str(tmp_path), "--check"]) == 1
         assert "goodput_qps" in capsys.readouterr().out
 
+    def test_overload_smoke_gates(self, capsys):
+        # At --duration 0.5 the overload never engages; 1 s is the
+        # shortest window the smoke gate passes on.
+        assert main(["serve", "--smoke", "--arrivals", "poisson:64",
+                     "--duration", "1"]) == 0
+        assert "overload smoke: PASS" in capsys.readouterr().out
+
     def test_top_arrivals_shows_queue_columns(self, capsys):
         assert main(["top", "--arrivals", "poisson:64",
                      "--duration", "0.5", "--seeds", "0"]) == 0
@@ -440,13 +447,49 @@ class TestBenchHistory:
         assert "vs prev" in out and "vs base" in out
         assert "+0.00%" in out
 
+    def test_faults_baselines_reach_the_trend(self, capsys, tmp_path):
+        for _ in range(2):
+            assert main(["faults", "--seeds", "0", "--layer", "analytic",
+                         "--dir", str(tmp_path), "--write-baseline"]) == 0
+        capsys.readouterr()
+        assert main(["bench", "--workload", "faults", "--dir",
+                     str(tmp_path), "--history"]) == 0
+        out = capsys.readouterr().out
+        assert "bench history: faults (2 run(s))" in out
+        header = out.splitlines()[1].split()
+        assert {"coverage", "injected", "mean_overhead"} <= set(header)
+        assert "total_time" not in header
+
     def test_history_without_runs_is_empty(self, capsys, tmp_path):
         assert main(["bench", "--workload", "HELR", "--dir",
                      str(tmp_path), "--history"]) == 0
         assert "no history recorded" in capsys.readouterr().out
 
 
+class TestParallelBench:
+    def test_write_then_check(self, capsys, tmp_path):
+        assert main(["bench", "--workload", "parallel", "--dir",
+                     str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "BENCH_parallel.json").read_text())
+        assert doc["metrics"]["digest_match"] == 1.0
+        assert main(["bench", "--workload", "parallel", "--dir",
+                     str(tmp_path), "--check"]) == 0
+        assert "parallel: all metrics within" in capsys.readouterr().out
+
+    def test_speedup_floor_scales_with_pool(self, capsys, tmp_path):
+        # 4 units on 2 workers cannot reach 2x (the greedy-lane optimum
+        # is just under it); the floor is half of min(workers, units).
+        assert main(["bench", "--workload", "parallel", "--units", "4",
+                     "--workers", "2", "--dir", str(tmp_path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert (tmp_path / "BENCH_parallel.json").exists()
+
+
 class TestRasCommand:
+    def test_smoke_gates(self, capsys):
+        assert main(["ras", "--smoke"]) == 0
+        assert "ras smoke: PASS" in capsys.readouterr().out
+
     def test_matrix_table_and_gate(self, capsys):
         assert main(["ras", "--retention-rates", "200",
                      "--scrub-intervals", "5e-3", "--no-wall"]) == 0
@@ -518,14 +561,17 @@ class TestRasFlagValidation:
         assert err.startswith("error: --retention-rate")
         assert len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--retention-rates", "200,zero"),
-        ("--retention-rates", ","),
-        ("--scrub-intervals", "0"),
-        ("--scrub-intervals", "1e-3,-1"),
-    ])
-    def test_bad_sweep_lists_rejected(self, capsys, flag, value):
-        assert main(["ras", flag, value]) == 1
+    @pytest.mark.parametrize("argv", [
+        ["ras", "--retention-rates", "200,zero"],
+        ["ras", "--retention-rates", ","],
+        ["ras", "--scrub-intervals", "0"],
+        ["ras", "--scrub-intervals", "1e-3,-1"],
+        ["faults", "--seeds", "0,x"],
+        ["serve", "--jobs", "faults:analytic:Boot", "--seeds", "x"],
+        ["soak", "--loads", "1,x"],
+    ], ids=lambda argv: "-".join(argv[1:]))
+    def test_bad_sweep_lists_rejected(self, capsys, argv):
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
