@@ -138,12 +138,20 @@ class CkksEvaluator:
                    scale: float | None = None) -> Ciphertext:
         """Multiply every slot by one scalar (encoded as a constant).
 
-        ``scale`` overrides the plaintext encoding scale — useful for
-        equalizing operand scales in deep circuits.
+        A real constant ``v`` at encoding scale Δ is the constant
+        polynomial ``round(v·Δ)``, the same integer at every NTT point,
+        so it multiplies the limbs directly; complex-typed constants go
+        through the encoder.  ``scale`` overrides the encoding scale —
+        useful for equalizing operand scales in deep circuits.
         """
-        message = np.full(self.params.degree // 2, value, dtype=np.complex128)
-        p = self.encoder.encode(message, basis=x.basis, scale=scale)
-        return self.mul_plain(x, p, rescale=rescale)
+        if np.iscomplexobj(value):
+            p = self._encode_constant(value, x.basis, scale)
+            return self.mul_plain(x, p, rescale=rescale)
+        scale = float(self.params.scale if scale is None else scale)
+        k = _scaled_integer(value, scale)
+        out = Ciphertext(b=x.b.scalar_mul(k), a=x.a.scalar_mul(k),
+                         scale=x.scale * scale)
+        return self.rescale(out) if rescale else out
 
     def mul_scalar_precise(self, x: Ciphertext, value: complex,
                            depth: int = 2) -> Ciphertext:
@@ -188,10 +196,24 @@ class CkksEvaluator:
         return out
 
     def add_scalar(self, x: Ciphertext, value: complex) -> Ciphertext:
-        """Add one scalar to every slot (no level consumed)."""
+        """Add one scalar to every slot (no level consumed).
+
+        A real constant adds ``round(value·scale)`` at every NTT point;
+        complex-typed constants go through the encoder.
+        """
+        if np.iscomplexobj(value):
+            p = self._encode_constant(value, x.basis, x.scale)
+            return self.add_plain(x, p)
+        k = _scaled_integer(value, x.scale)
+        column = np.array([k % q for q in x.basis], dtype=np.int64)
+        const = RnsPolynomial(np.repeat(column[:, None], x.b.degree, axis=1),
+                              x.basis, is_ntt=True)
+        return Ciphertext(b=x.b + const, a=x.a.copy(), scale=x.scale)
+
+    def _encode_constant(self, value: complex, basis: tuple,
+                         scale: float | None) -> Plaintext:
         message = np.full(self.params.degree // 2, value, dtype=np.complex128)
-        p = self.encoder.encode(message, basis=x.basis, scale=x.scale)
-        return self.add_plain(x, p)
+        return self.encoder.encode(message, basis=basis, scale=scale)
 
     def mul_monomial(self, x: Ciphertext, power: int) -> Ciphertext:
         """Multiply by the exact monomial ``X^power`` (scale-free).
@@ -270,6 +292,14 @@ class CkksEvaluator:
         conj_a = automorphism.apply_automorphism(x.a, galois)
         ks_b, ks_a = key_switch(conj_a, self.keys.conjugation, self.decomp)
         return Ciphertext(b=conj_b + ks_b, a=ks_a, scale=x.scale)
+
+
+def _scaled_integer(value: float, scale: float) -> int:
+    """``round(value·scale)``, computed exactly on the two floats."""
+    num, den = float(value).as_integer_ratio()
+    scale_num, scale_den = float(scale).as_integer_ratio()
+    num, den = num * scale_num, den * scale_den
+    return (2 * num + den) // (2 * den)
 
 
 def make_context(params, rotations=(), include_conjugation: bool = False,

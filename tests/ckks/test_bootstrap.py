@@ -118,5 +118,5 @@ class TestBootstrap:
 
     def test_depth_matches_config(self, boot_setup):
         _, _, bts = boot_setup
-        # CtS + StC + normalize(2) + ceil(log2(79)) + combination
-        assert bts.depth() == 2 + 2 + 7 + 1
+        # CtS + StC + normalize(2) + the degree-79 split plan
+        assert bts.depth() == 2 + 2 + 7

@@ -121,6 +121,56 @@ class TestMultiplicative:
             small_context.rescale(ct)
 
 
+class TestScalarConstants:
+    """Real constants multiply/add the limbs directly; complex-typed ones
+    go through the encoder.  Both paths must decrypt alike."""
+
+    VALUES = (0.75, -3.0, 1e-3, 2.5 - 1j)
+
+    @pytest.mark.parametrize("scale", [None, 2.0 ** 30])
+    @pytest.mark.parametrize("value", VALUES)
+    def test_mul_scalar_paths_agree(self, small_context, message, value,
+                                    scale):
+        ct = small_context.encrypt_message(message)
+        exact, encoded = (small_context.decrypt_message(
+            small_context.mul_scalar(ct, v, scale=scale))
+            for v in (value, complex(value)))
+        assert np.abs(exact - encoded).max() < 1e-6
+        assert np.abs(exact - value * message).max() < TOL
+
+    @pytest.mark.parametrize("value", VALUES)
+    def test_add_scalar_paths_agree(self, small_context, message, value):
+        ct = small_context.encrypt_message(message)
+        exact, encoded = (small_context.decrypt_message(
+            small_context.add_scalar(ct, v))
+            for v in (value, complex(value)))
+        assert np.abs(exact - encoded).max() < 1e-6
+        assert np.abs(exact - (message + value)).max() < TOL
+
+    @pytest.mark.parametrize("value", [1e-6, -2.5e-7])
+    def test_precise_paths_agree(self, small_context, message, value):
+        # The constant is encoded at two primes' product, about 2^56.
+        ct = small_context.encrypt_message(message)
+        exact, encoded = (small_context.decrypt_message(
+            small_context.mul_scalar_precise(ct, v, depth=2))
+            for v in (value, complex(value)))
+        assert np.abs(exact - encoded).max() < 1e-9
+        assert np.abs(exact - value * message).max() < 1e-6
+
+    def test_real_constants_skip_the_encoder(self, small_context, message,
+                                             monkeypatch):
+        ct = small_context.encrypt_message(message)
+        calls = []
+        encode = small_context.encoder.encode
+        monkeypatch.setattr(small_context.encoder, "encode",
+                            lambda *a, **k: calls.append(1) or encode(*a, **k))
+        ct = small_context.add_scalar(small_context.mul_scalar(ct, 0.5), -1)
+        ct = small_context.adjust_scale_to(ct, ct.scale * 1.001)
+        assert not calls
+        small_context.mul_scalar(ct, 0.5 + 0j)
+        assert len(calls) == 1
+
+
 class TestRotation:
     @pytest.mark.parametrize("distance", [1, 2, 3, 5, 8, 16])
     def test_hrot(self, small_context, rng, small_params, distance):

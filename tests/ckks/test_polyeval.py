@@ -29,7 +29,7 @@ class TestCoefficients:
 class TestHomomorphicEvaluation:
     def test_depth_accounting(self, deep_context):
         che = ChebyshevEvaluator(deep_context)
-        assert che.depth(1, normalized=False) == 2
+        assert che.depth(1, normalized=False) == 1
         assert che.depth(4, normalized=False) == 3
         assert che.depth(31, normalized=False) == 6
         assert che.depth(31, normalized=True) == 8
@@ -74,4 +74,4 @@ class TestHomomorphicEvaluation:
         coeffs = chebyshev_coefficients(np.exp, 15, (-1, 1))
         out = che.evaluate(ct, coeffs)
         consumed = ct.level_count - out.level_count
-        assert consumed <= che.depth(15, normalized=False)
+        assert consumed == che.depth(15, normalized=False)

@@ -92,6 +92,16 @@ class TestFunctionalCell:
         assert func["unaccounted"] == 0
         assert func["decrypt_ok"]
 
+    def test_escapes_reach_the_checksum_guard(self):
+        # Nearly every event flips three bits, so ECC miscorrects some
+        # words and the residue checksum is the layer that catches them.
+        config = ReliabilityConfig(escape_fraction=0.999,
+                                   multi_bit_fraction=0.0)
+        cell = run_functional_ras(config, record_wall=False)
+        assert cell["checksum_caught"] > 0
+        assert cell["unaccounted"] == 0
+        assert cell["decrypt_ok"]
+
     def test_record_wall_controls_the_one_wall_field(self):
         config = ReliabilityConfig()
         with_wall = run_functional_ras(config, record_wall=True)
