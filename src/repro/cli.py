@@ -676,9 +676,10 @@ def _positive(token) -> float:
 def _parse_positive_float(text, name: str) -> float:
     """A strictly positive float from a CLI token.
 
-    RAS flags are declared as strings and parsed here so a bad value
-    raises :class:`ParameterError` — one line on stderr and exit 1,
-    not argparse's usage dump.  ``None`` (flag unset) passes through.
+    RAS, deadline and timeout flags are declared as strings and parsed
+    here so a bad value raises :class:`ParameterError` — one line on
+    stderr and exit 1, not argparse's usage dump.  ``None`` (flag unset)
+    passes through.
     """
     if text is None:
         return None
@@ -714,8 +715,9 @@ def _serve_policy(args):
     return ServePolicy(
         seed=args.seed,
         max_retries=args.max_retries,
-        deadline_s=args.deadline,
-        kernel_timeout_s=args.kernel_timeout,
+        deadline_s=_parse_positive_float(args.deadline, "--deadline"),
+        kernel_timeout_s=_parse_positive_float(args.kernel_timeout,
+                                               "--kernel-timeout"),
         checkpoint_every=args.checkpoint_every,
         degraded_after=args.degraded_after,
         gpu_only_after=args.gpu_only_after,
@@ -1024,30 +1026,27 @@ def _serve_smoke(args) -> int:
         killed = _serve_runner(args, jobs, policy, checkpoint=ckpt,
                                max_units=1).run()
         if not killed["interrupted"]:
-            print("serve smoke: FAIL (kill at --max-units 1 did not "
-                  "interrupt the campaign)")
-            return 1
+            return _smoke_fail("serve", ["kill at --max-units 1 did not "
+                                         "interrupt the campaign"])
         runner = _serve_runner(args, jobs, policy, checkpoint=ckpt,
                                resume=ckpt)
         resumed = runner.run()
 
-    clean_text = json.dumps(clean, indent=2)
-    resumed_text = json.dumps(resumed, indent=2)
-    if clean_text != resumed_text:
-        print("serve smoke: FAIL (resumed document differs from the "
-              "uninterrupted run)")
-        return 1
+    failures = []
+    if json.dumps(clean, indent=2) != json.dumps(resumed, indent=2):
+        failures.append("resumed document differs from the uninterrupted "
+                        "run")
     if runner.resumed_units == 0:
-        print("serve smoke: FAIL (resume replayed every unit; the "
-              "checkpoint was not used)")
-        return 1
+        failures.append("resume replayed every unit; the checkpoint was "
+                        "not used")
     states = [unit["result"]["summary"]["degradation"]["state"]
               for unit in clean["jobs"][0]["units"].values()
               if unit.get("status") == "ok"]
     if "gpu-only" not in states:
-        print(f"serve smoke: FAIL (expected GPU_ONLY degradation under "
-              f"stuck sites {list(policy.stuck_sites)}; got {states})")
-        return 1
+        failures.append(f"expected GPU_ONLY degradation under stuck sites "
+                        f"{list(policy.stuck_sites)}; got {states}")
+    if failures:
+        return _smoke_fail("serve", failures)
     _emit_artifacts(args, manifest=clean)
     n = len(clean["jobs"][0]["units"])
     pool = f"; {args.workers} workers" if args.workers > 1 else ""
@@ -1434,11 +1433,10 @@ def _add_serve_flags(parser) -> None:
                         help="service seed (drives backoff jitter)")
     parser.add_argument("--max-retries", type=int, default=2,
                         help="retry budget per unit (default 2)")
-    parser.add_argument("--deadline", type=float, default=None,
-                        metavar="SECONDS",
+    parser.add_argument("--deadline", default=None, metavar="SECONDS",
                         help="per-job wall-clock deadline; overrunning "
                              "jobs stop between units")
-    parser.add_argument("--kernel-timeout", type=float, default=None,
+    parser.add_argument("--kernel-timeout", default=None,
                         metavar="SECONDS",
                         help="per-kernel simulated-time timeout (hung PIM "
                              "kernels are killed and rerouted to the GPU)")

@@ -77,11 +77,10 @@ class AnaheimFramework:
             if self.ras_config is not None:
                 from repro.faults.ras import RasEngine
                 ras = RasEngine(self.ras_config, timing=self.pim.timing,
-                                tracer=self.tracer, metrics=self.metrics)
+                                metrics=self.metrics)
             return ResilientScheduler(self.gpu_model, self.pim_executor,
                                       cache=self.cache,
                                       keep_segments=self.keep_segments,
-                                      tracer=self.tracer,
                                       metrics=self.metrics,
                                       plan=self.fault_plan,
                                       health=self.health,

@@ -12,6 +12,7 @@ traffic (Fig. 4b), and the energy decomposition (Fig. 8).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.trace import (CATEGORY_LABELS, GpuKernel, OpCategory,
@@ -22,7 +23,7 @@ from repro.faults.inject import FaultInjector
 from repro.faults.plan import PERSISTENT_MODELS
 from repro.gpu.cache import CacheModel
 from repro.gpu.model import GpuModel
-from repro.pim.executor import PimExecutor
+from repro.pim.executor import PimCost, PimExecutor
 
 
 @dataclass
@@ -242,13 +243,18 @@ class Scheduler:
             else None
 
     # -- Per-kernel dispatch (split out so tracing wraps one call) ----------
+    # The resilient loop charges its executions through the same helpers.
 
-    def _dispatch_pim(self, kernel: PimKernel, report: ScheduleReport) -> float:
-        cost = self.pim_executor.cost(kernel)
+    @staticmethod
+    def _account_pim(cost: PimCost, report: ScheduleReport) -> None:
         report.pim_time += cost.time
         report.pim_internal_bytes += cost.internal_bytes
         report.pim_activations += cost.activations
         report.energy_pim += cost.energy
+
+    def _dispatch_pim(self, kernel: PimKernel, report: ScheduleReport) -> float:
+        cost = self.pim_executor.cost(kernel)
+        self._account_pim(cost, report)
         return cost.time
 
     def _dispatch_gpu(self, kernel: GpuKernel, report: ScheduleReport) -> float:
@@ -350,7 +356,6 @@ class ResilientScheduler(Scheduler):
                  pim_executor: PimExecutor | None = None,
                  cache: CacheModel | None = None,
                  keep_segments: bool = True,
-                 tracer=None,
                  metrics=None,
                  plan=None,
                  injector: FaultInjector | None = None,
@@ -359,8 +364,7 @@ class ResilientScheduler(Scheduler):
                  kernel_timeout: float | None = None,
                  ras=None):
         super().__init__(gpu_model, pim_executor, cache=cache,
-                         keep_segments=keep_segments, tracer=tracer,
-                         metrics=metrics)
+                         keep_segments=keep_segments, metrics=metrics)
         if plan is None and injector is not None:
             plan = injector.plan
         if plan is None and ras is not None:
@@ -379,31 +383,10 @@ class ResilientScheduler(Scheduler):
         if ras is not None:
             ras.bind(self.injector, health)
 
-    # -- Per-execution accounting helpers ------------------------------------
-
-    def _account_pim(self, cost, report: ScheduleReport) -> None:
-        report.pim_time += cost.time
-        report.pim_internal_bytes += cost.internal_bytes
-        report.pim_activations += cost.activations
-        report.energy_pim += cost.energy
-
-    def _account_gpu(self, kernel: GpuKernel,
-                     report: ScheduleReport) -> float:
-        dram = self.cache.dram_bytes(kernel)
-        cost = self.gpu_model.kernel_cost(kernel, dram_bytes=dram)
-        report.gpu_time += cost.time
-        report.gpu_dram_bytes += cost.dram_bytes
-        if kernel.category is OpCategory.TRANSFER:
-            report.transfer_bytes += cost.dram_bytes
-        report.energy_gpu_dynamic += self.gpu_model.kernel_energy(kernel,
-                                                                  cost)
-        return cost.time
-
     def run(self, trace: Trace) -> ScheduleReport:
         if self.injector is None:
             return super().run(trace)
         plan, injector = self.plan, self.injector
-        tracer = self.tracer
         ras = self.ras
         health, breakers = self.health, self.breakers
         kernel_timeout = self.kernel_timeout
@@ -412,9 +395,7 @@ class ResilientScheduler(Scheduler):
         clock = 0.0
         previous_device = None
         times = {"verify_time": 0.0, "retry_time": 0.0, "fallback_time": 0.0}
-        counts = {"degraded_reroutes": 0, "breaker_reroutes": 0,
-                  "kernel_timeouts": 0}
-        rerouted = 0
+        event_counts = Counter()
         event_base = len(injector.log.events)
         pim_index = 0
 
@@ -425,8 +406,6 @@ class ResilientScheduler(Scheduler):
                 clock += overhead
                 report.transition_time += overhead
                 report.transitions += 1
-                if tracer is not None:
-                    tracer.count("scheduler.transitions")
                 if self._m is not None:
                     self._m.transitions.inc()
             if self._m is not None:
@@ -449,6 +428,7 @@ class ResilientScheduler(Scheduler):
             return "transfer" if category is OpCategory.TRANSFER else device
 
         def note_event(event: str) -> None:
+            event_counts[event] += 1
             if self._m is not None:
                 self._m.faults.inc(event=event)
 
@@ -460,8 +440,6 @@ class ResilientScheduler(Scheduler):
         def note_failure(device: str, category) -> None:
             bdev = breaker_device(device, category)
             if breakers is not None and breakers.record_failure(bdev, clock):
-                if tracer is not None:
-                    tracer.count(f"scheduler.breaker.open.{bdev}")
                 note_event("breaker_open")
                 if health is not None:
                     health.note_breaker_open(bdev, clock)
@@ -473,14 +451,12 @@ class ResilientScheduler(Scheduler):
                         "remains to serve the schedule")
 
         def note_quarantine(site) -> None:
-            if tracer is not None:
-                tracer.count("scheduler.faults.quarantined_sites")
             note_event("quarantine")
             if health is not None:
                 health.note_quarantine(site, clock)
 
         def gpu_fallback(pim_name: str, fallback) -> None:
-            fb_duration = self._account_gpu(fallback, report)
+            fb_duration = self._dispatch_gpu(fallback, report)
             fb_verify = self.gpu_model.verify_cost(fallback)
             report.gpu_time += fb_verify
             advance(fb_duration + fb_verify, "gpu",
@@ -505,26 +481,17 @@ class ResilientScheduler(Scheduler):
                     health.note_pim_kernel()
                 if injector.is_quarantined(site):
                     injector.note_reroute()
-                    rerouted += 1
-                    if tracer is not None:
-                        tracer.count("scheduler.faults.rerouted")
                     note_event("rerouted")
                     exec_kernel = gpu_equivalent(kernel)
                     device, site = "gpu", None
                 elif health is not None and health.gpu_only:
                     # degraded mode: the remaining block sequence runs
                     # on the GPU-only schedule
-                    counts["degraded_reroutes"] += 1
-                    if tracer is not None:
-                        tracer.count("scheduler.faults.degraded_reroutes")
                     note_event("degraded_reroute")
                     exec_kernel = gpu_equivalent(kernel)
                     device, site = "gpu", None
                 elif breakers is not None \
                         and not breakers.allow("pim", clock):
-                    counts["breaker_reroutes"] += 1
-                    if tracer is not None:
-                        tracer.count("scheduler.faults.breaker_reroutes")
                     note_event("breaker_reroute")
                     exec_kernel = gpu_equivalent(kernel)
                     device, site = "gpu", None
@@ -554,19 +521,11 @@ class ResilientScheduler(Scheduler):
                         # (partial time/energy charged, no result to
                         # verify), re-executed on the GPU, and the site
                         # takes a strike like any other failure.
-                        fraction = kernel_timeout / executed.time
-                        report.pim_time += kernel_timeout
-                        report.pim_internal_bytes += (
-                            executed.internal_bytes * fraction)
-                        report.pim_activations += int(
-                            executed.activations * fraction)
-                        report.energy_pim += executed.energy * fraction
+                        self._account_pim(executed.truncated(kernel_timeout),
+                                          report)
                         advance(kernel_timeout, "pim",
                                 f"{exec_kernel.name}.timeout",
                                 exec_kernel.category)
-                        counts["kernel_timeouts"] += 1
-                        if tracer is not None:
-                            tracer.count("scheduler.faults.kernel_timeouts")
                         note_event("kernel_timeout")
                         note_failure("pim", exec_kernel.category)
                         gpu_fallback(exec_kernel.name,
@@ -579,7 +538,7 @@ class ResilientScheduler(Scheduler):
                     verify = plan.pim_verify_overhead * nominal.time
                     report.pim_time += verify
                 else:
-                    duration = self._account_gpu(exec_kernel, report)
+                    duration = self._dispatch_gpu(exec_kernel, report)
                     verify = self.gpu_model.verify_cost(exec_kernel)
                     report.gpu_time += verify
                 label = exec_kernel.name if attempts == 0 else (
@@ -596,8 +555,6 @@ class ResilientScheduler(Scheduler):
                         # verify just caught it.  Rewrite the region
                         # from redundancy and re-execute the kernel.
                         ras_escape = False
-                        if tracer is not None:
-                            tracer.count("scheduler.ras.escapes")
                         note_event("ras_escape")
                         note_failure("pim", exec_kernel.category)
                         for ras_name, ras_secs in ras.repair_items(site,
@@ -612,16 +569,11 @@ class ResilientScheduler(Scheduler):
                         # A GPU overrun has no second device to fall
                         # back to: record it (and charge the breaker)
                         # but keep the completed result.
-                        counts["kernel_timeouts"] += 1
-                        if tracer is not None:
-                            tracer.count("scheduler.faults.kernel_timeouts")
                         note_event("kernel_timeout")
                         note_failure(device, exec_kernel.category)
                     else:
                         note_success(device, exec_kernel.category)
                     break
-                if tracer is not None:
-                    tracer.count("scheduler.faults.injected")
                 note_event("injected")
                 if injector.fault_is_benign(fault, instruction):
                     event = injector.event(fault, exec_kernel.name,
@@ -634,16 +586,12 @@ class ResilientScheduler(Scheduler):
                                        site=site)
                 event.detected = True
                 event.attempts = attempts + 1
-                if tracer is not None:
-                    tracer.count("scheduler.faults.detected")
                 note_event("detected")
                 note_failure(device, exec_kernel.category)
                 attempts += 1
                 if (attempts <= plan.max_attempts
                         and fault not in PERSISTENT_MODELS):
                     event.recovery = "retry"
-                    if tracer is not None:
-                        tracer.count("scheduler.faults.retries")
                     note_event("retry")
                     continue
                 if not plan.allow_fallback:
@@ -655,8 +603,6 @@ class ResilientScheduler(Scheduler):
                     # Service-level override: degrade to GPU_ONLY and
                     # keep serving instead of aborting the whole run.
                     health.note_policy_exhausted(exec_kernel.name, clock)
-                    if tracer is not None:
-                        tracer.count("scheduler.faults.policy_degraded")
                     note_event("policy_degraded")
                 # GPU fallback: re-execute on the reliable device.  A
                 # failed PIM site takes a strike; enough strikes
@@ -665,8 +611,6 @@ class ResilientScheduler(Scheduler):
                             if device == "pim" else exec_kernel)
                 gpu_fallback(exec_kernel.name, fallback)
                 event.recovery = "fallback"
-                if tracer is not None:
-                    tracer.count("scheduler.faults.fallbacks")
                 note_event("fallback")
                 if device == "pim" and injector.record_site_failure(site):
                     note_quarantine(site)
@@ -676,14 +620,17 @@ class ResilientScheduler(Scheduler):
         report.energy_gpu_idle = self.gpu_model.config.idle_power * clock
         from repro.faults.events import FaultLog
         run_log = FaultLog(events=injector.log.events[event_base:],
-                           rerouted=rerouted,
+                           rerouted=event_counts["rerouted"],
                            quarantined_sites=list(
                                injector.log.quarantined_sites))
         report.fault_summary = dict(run_log.summary(), **times,
                                     plan_digest=plan.digest())
         if health is not None or breakers is not None \
                 or kernel_timeout is not None:
-            report.fault_summary.update(counts)
+            report.fault_summary.update(
+                degraded_reroutes=event_counts["degraded_reroute"],
+                breaker_reroutes=event_counts["breaker_reroute"],
+                kernel_timeouts=event_counts["kernel_timeout"])
         if health is not None:
             report.fault_summary["degradation"] = health.summary()
         if breakers is not None:

@@ -141,10 +141,9 @@ class RasEngine:
 
     def __init__(self, config: ReliabilityConfig,
                  timing: DramTiming = HBM2_TIMING,
-                 tracer=None, metrics=None):
+                 metrics=None):
         self.config = config
         self.timing = timing
-        self.tracer = tracer
         self.injector = None
         self.health = None
         self._m_corrected = None
@@ -241,8 +240,6 @@ class RasEngine:
         self.scrub_passes[kind] += passes
         if self._m_corrected is not None:
             self._m_scrubs.inc(passes, kind=kind)
-        if self.tracer is not None:
-            self.tracer.count(f"scheduler.ras.scrub.{kind}", passes)
 
     def _repair(self, items: list) -> None:
         """One demand rewrite of a region from redundant data."""
@@ -264,8 +261,6 @@ class RasEngine:
             if site not in self._spares_flagged:
                 self._spares_flagged.add(site)
                 self.spares_exhausted += 1
-                if self.tracer is not None:
-                    self.tracer.count("scheduler.ras.spares_exhausted")
             return
         cost = cfg.migration_s(self.timing)
         self.migration_time_s += cost
@@ -275,8 +270,6 @@ class RasEngine:
         self.remapped_sites.append(site)
         if self._m_corrected is not None:
             self._m_remaps.inc(reason=reason)
-        if self.tracer is not None:
-            self.tracer.count(f"scheduler.ras.remap.{reason}")
         if self.injector is not None:
             self.injector.retire_site(site)
         # The spare starts fresh: health counters and wear reset, the

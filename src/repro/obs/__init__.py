@@ -2,17 +2,21 @@
 
 This package makes runs of the reproduction *measurable*:
 
-* :mod:`repro.obs.tracer` — a lightweight span/counter tracer threaded
-  through lowering, scheduling, and the device cost models (opt-in:
-  every instrumented call site is a single ``is None`` check when
-  tracing is off).
+* :mod:`repro.obs.tracer` — a lightweight wall-clock span/counter
+  tracer threaded through the modeling pipeline only: the framework,
+  lowering, the plain scheduler dispatch, and the device cost models
+  (opt-in: every instrumented call site is a single ``is None`` check
+  when tracing is off).  It feeds ``anaheim-repro profile``.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``) generated from tracer spans or from
   a :class:`~repro.core.scheduler.ScheduleReport`'s simulated Gantt
   segments, plus a full JSON run manifest with config provenance.
 * :mod:`repro.obs.metrics` — a process-wide, label-aware metrics
   registry (counters, gauges, histograms) with deterministic snapshots,
-  Prometheus text exposition, and a structured JSONL event log.
+  Prometheus text exposition, and a structured JSONL event log.  It is
+  the only recorder of the serving, fault and RAS layers (resilient
+  scheduler fault loop, health monitor, breakers, admission, job
+  runner, RAS engine), which take ``metrics=`` and no tracer.
 * :mod:`repro.obs.utilization` — :class:`UtilizationReport`, derived
   device-utilization accounting (busy fractions, MMAC lane occupancy,
   bandwidth utilization, overlap efficiency) from any schedule report.

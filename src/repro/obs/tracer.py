@@ -6,10 +6,17 @@ The tracer records *wall-clock* spans of the reproduction's own code
 describes.  Both can be exported as Chrome trace events
 (:mod:`repro.obs.export`).
 
-Instrumentation is opt-in.  Every instrumented object takes
-``tracer=None`` and call sites guard with a single ``is None`` check
-(or equivalently :func:`maybe_span`), so the default path pays one
-branch per site and records nothing.
+Instrumentation is opt-in.  The objects that take ``tracer=None`` are
+the modeling pipeline's: :class:`~repro.core.framework.AnaheimFramework`,
+lowering, the plain :class:`~repro.core.scheduler.Scheduler` dispatch,
+:class:`~repro.gpu.model.GpuModel` and
+:class:`~repro.pim.executor.PimExecutor` (the numeric engine has its
+own module-level hook in :mod:`repro.ckks.instrument`).  Call sites
+guard with a single ``is None`` check (or equivalently
+:func:`maybe_span`), so the default path pays one branch per site and
+records nothing.  The serving, fault and RAS layers — the resilient
+scheduler's fault loop, health monitor, breakers, admission and job
+runner — record only into :class:`~repro.obs.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations

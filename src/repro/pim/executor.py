@@ -41,6 +41,17 @@ class PimCost:
             internal_bytes=self.internal_bytes + other.internal_bytes,
         )
 
+    def truncated(self, time: float) -> "PimCost":
+        """The pro-rata share of this execution killed at ``time``."""
+        fraction = time / self.time
+        return PimCost(
+            time=time,
+            energy=self.energy * fraction,
+            activations=int(self.activations * fraction),
+            chunk_accesses=int(self.chunk_accesses * fraction),
+            internal_bytes=self.internal_bytes * fraction,
+        )
+
 
 ZERO_COST = PimCost(0.0, 0.0, 0, 0, 0.0)
 

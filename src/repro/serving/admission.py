@@ -252,7 +252,7 @@ class AdmissionController:
     """
 
     def __init__(self, policy: AdmissionPolicy, cost_model: CostModel,
-                 tenants, health=None, metrics=None, tracer=None):
+                 tenants, health=None, metrics=None):
         if policy.shed_policy not in ("priority", "none"):
             raise ParameterError(
                 f"unknown shed policy {policy.shed_policy!r} "
@@ -260,7 +260,6 @@ class AdmissionController:
         self.policy = policy
         self.cost_model = cost_model
         self.health = health
-        self.tracer = tracer
         self.queue = BoundedQueue(policy.queue_cap,
                                   policy.high_watermark,
                                   policy.low_watermark)
@@ -326,8 +325,6 @@ class AdmissionController:
                 f"({self.queue.low_watermark})"):
             if self._m is not None:
                 self._m.brownout.inc(to=target.value)
-            if self.tracer is not None:
-                self.tracer.count(f"admission.brownout.{target.value}")
 
     # -- Admission -----------------------------------------------------------
 
@@ -426,8 +423,6 @@ class AdmissionController:
             "decision": "shed", "reason": reason})
         if self._m is not None:
             self._m.shed.inc(reason=reason)
-        if self.tracer is not None:
-            self.tracer.count(f"admission.shed.{reason}")
 
     def record_wait(self, wait_s: float) -> None:
         if self._m is not None:

@@ -38,7 +38,6 @@ class CircuitBreaker:
     device: str
     threshold: int = 3
     cooldown_s: float = 1e-3
-    tracer: object = None
     metrics: object = None
     state: BreakerState = BreakerState.CLOSED
     consecutive_failures: int = 0
@@ -116,9 +115,6 @@ class CircuitBreaker:
         self.events.append({"at_s": now, "from": self.state.value,
                             "to": state.value, "reason": reason})
         self.state = state
-        if self.tracer is not None:
-            self.tracer.count(
-                f"serve.breaker.{self.device}.{state.value}")
         if self.metrics is not None:
             self.metrics.counter(
                 "anaheim_breaker_transitions_total",
@@ -148,10 +144,10 @@ class BreakerBoard:
     """One breaker per device, with a shared policy."""
 
     def __init__(self, threshold: int = 3, cooldown_s: float = 1e-3,
-                 devices=DEVICES, tracer=None, metrics=None):
+                 devices=DEVICES, metrics=None):
         self.breakers = {device: CircuitBreaker(
             device=device, threshold=threshold, cooldown_s=cooldown_s,
-            tracer=tracer, metrics=metrics) for device in devices}
+            metrics=metrics) for device in devices}
 
     def breaker(self, device: str) -> CircuitBreaker:
         return self.breakers[device]

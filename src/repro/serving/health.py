@@ -56,7 +56,7 @@ class HealthMonitor:
                  pim_fault_rate_limit: float | None = None,
                  rate_window: int = 50,
                  uncorrectable_limit: int | None = None,
-                 tracer=None, metrics=None):
+                 metrics=None):
         if degraded_after < 1 or gpu_only_after < degraded_after:
             raise ParameterError(
                 "need 1 <= degraded_after <= gpu_only_after")
@@ -70,7 +70,6 @@ class HealthMonitor:
         self.pim_fault_rate_limit = pim_fault_rate_limit
         self.rate_window = rate_window
         self.uncorrectable_limit = uncorrectable_limit
-        self.tracer = tracer
         self.metrics = metrics
         self.state = DegradationState.HEALTHY
         self._publish_state()
@@ -171,8 +170,6 @@ class HealthMonitor:
         self.events.append({"at_s": now, "from": self.state.value,
                             "to": state.value, "reason": reason})
         self.state = state
-        if self.tracer is not None:
-            self.tracer.count(f"serve.degradation.{state.value}")
         if self.metrics is not None:
             self.metrics.counter(
                 "anaheim_degradation_transitions_total",

@@ -129,15 +129,15 @@ class ServePolicy:
                            factor=self.backoff_factor,
                            jitter=self.backoff_jitter, seed=self.seed)
 
-    def health_monitor(self, tracer=None, metrics=None) -> HealthMonitor:
+    def health_monitor(self, metrics=None) -> HealthMonitor:
         return HealthMonitor(degraded_after=self.degraded_after,
                              gpu_only_after=self.gpu_only_after,
-                             tracer=tracer, metrics=metrics)
+                             metrics=metrics)
 
-    def breaker_board(self, tracer=None, metrics=None) -> BreakerBoard:
+    def breaker_board(self, metrics=None) -> BreakerBoard:
         return BreakerBoard(threshold=self.breaker_threshold,
                             cooldown_s=self.breaker_cooldown_s,
-                            tracer=tracer, metrics=metrics)
+                            metrics=metrics)
 
 
 @dataclass(frozen=True)
@@ -352,7 +352,7 @@ class JobRunner:
     def __init__(self, jobs, policy: ServePolicy, gpu=None, pim=None,
                  library=None, checkpoint_path=None, resume_path=None,
                  checkpoint_keep: int | None = None,
-                 max_units: int | None = None, tracer=None,
+                 max_units: int | None = None,
                  metrics=None, on_unit=None,
                  clock=time.monotonic,
                  deadline_fatal: bool = False,
@@ -363,7 +363,6 @@ class JobRunner:
         self.gpu = gpu
         self.pim = pim
         self.library = library
-        self.tracer = tracer
         #: Serving metrics (all values derived from the *simulated*
         #: timeline and deterministic unit documents — never wall
         #: clocks — so seeded runs produce identical snapshots).
@@ -440,18 +439,14 @@ class JobRunner:
             # the RAS config is dropped along with the offload.
             return AnaheimFramework(gpu, None, fault_plan=plan,
                                     kernel_timeout=policy.kernel_timeout_s,
-                                    tracer=self.tracer,
                                     metrics=self.metrics, **kwargs), None
         guarded = plan is not None or ras is not None
-        health = (policy.health_monitor(self.tracer, self.metrics)
-                  if guarded else None)
-        breakers = (policy.breaker_board(self.tracer, self.metrics)
-                    if guarded else None)
+        health = policy.health_monitor(self.metrics) if guarded else None
+        breakers = policy.breaker_board(self.metrics) if guarded else None
         return AnaheimFramework(gpu, pim, fault_plan=plan,
                                 ras_config=ras,
                                 health=health, breakers=breakers,
                                 kernel_timeout=policy.kernel_timeout_s,
-                                tracer=self.tracer,
                                 metrics=self.metrics, **kwargs), health
 
     def _run_unit(self, workload_name: str, degraded: bool,
@@ -486,10 +481,9 @@ class JobRunner:
         from repro.faults.campaign import run_campaign_unit
         layer, seed_text = unit.split("/")
         policy = self.policy
-        health = (policy.health_monitor(self.tracer, self.metrics)
-                  if layer == "analytic" else None)
-        breakers = (policy.breaker_board(self.tracer, self.metrics)
-                    if layer == "analytic" else None)
+        guarded = layer == "analytic"
+        health = policy.health_monitor(self.metrics) if guarded else None
+        breakers = policy.breaker_board(self.metrics) if guarded else None
         return run_campaign_unit(
             layer, int(seed_text), scale=policy.fault_scale,
             workload=job.workloads[0], stuck_sites=policy.stuck_sites,
@@ -518,16 +512,11 @@ class JobRunner:
             try:
                 result = self._execute_unit(job, unit, degraded)
             except ReproError as exc:
-                if self.tracer is not None:
-                    self.tracer.count("serve.unit_failures")
                 if self._m is not None:
                     self._m.failures.inc()
                 if attempt < retry.max_retries:
                     delay = retry.delay(key, attempt)
                     backoffs.append(delay)
-                    if self.tracer is not None:
-                        self.tracer.count("serve.retries")
-                        self.tracer.count("serve.backoff_s", delay)
                     if self._m is not None:
                         self._m.retries.inc()
                         self._m.backoff.inc(delay)
@@ -607,14 +596,13 @@ class JobRunner:
     def _check_deadline(self, job: JobSpec, started: float) -> bool:
         """True iff ``job``'s serve deadline has passed.
 
-        The single seam for both execution paths: counts the event,
-        and raises :class:`DeadlineError` when deadlines are fatal.
+        The single seam for both execution paths: raises
+        :class:`DeadlineError` when deadlines are fatal (the skipped
+        units are counted by :meth:`_skip_deadline`).
         """
         deadline = self.policy.deadline_s
         if deadline is None or self.clock() - started <= deadline:
             return False
-        if self.tracer is not None:
-            self.tracer.count("serve.deadline_exceeded")
         if self.deadline_fatal:
             raise DeadlineError(
                 f"job {job.id} exceeded its {deadline}s deadline")
@@ -707,107 +695,58 @@ class JobRunner:
         through the same ``pool_task_fn``.  Deadlines are checked per
         dispatch round (between rounds, progress is kept).
         """
-        from repro.obs.tracer import maybe_span
         policy = self.policy
         unit_docs: dict = {}
         status = "ok"
         started = self.clock()
         units = job.units(policy.seeds)
-        with maybe_span(self.tracer, "serve.job", id=job.id,
-                        kind=job.kind):
-            fresh: list = []
-            for unit in units:
-                key = f"{job.id}:{unit}"
-                stored = self.checkpointer.units.get(key)
-                if stored is not None:
-                    unit_docs[unit] = stored
-                    if self._m is not None:
-                        self._m.restored.inc()
-                    self._notify(job, unit, stored, fresh=False)
-                else:
-                    fresh.append((unit, key))
-            interrupted = False
-            if self.max_units is not None:
-                budget = max(0, self.max_units - self._fresh_units)
-                if len(fresh) > budget:
-                    interrupted = True
-                    fresh = fresh[:budget]
-            pending = list(fresh)
-            while pending:
-                if self._check_deadline(job, started):
-                    status = "deadline-exceeded"
-                    for unit, key in pending:
-                        self._skip_deadline(job, unit, unit_docs)
-                    break
-                degraded = self._job_degraded(job, unit_docs)
-                tasks = [self._unit_task(job, unit, key, degraded)
-                         for unit, key in pending]
-                results = self._worker_pool().run(self.pool_task_fn,
-                                                  tasks)
-                committed = 0
-                for (unit, key), task, res in zip(pending, tasks,
-                                                  results):
-                    if self._job_degraded(job, unit_docs) \
-                            != task.degraded:
-                        break
-                    if res.crashed:
-                        if self.tracer is not None:
-                            self.tracer.count("serve.worker_crashes")
-                        if self._wm is not None:
-                            self._wm.crashes.inc()
-                        inline_start = time.perf_counter()
-                        doc, registry = self.pool_task_fn(task)
-                        self._account_worker(
-                            key, -1, time.perf_counter() - inline_start)
-                    else:
-                        doc, registry = res.value
-                        self._account_worker(key, res.worker, res.wall_s)
-                    if registry is not None and self.metrics is not None:
-                        self.metrics.merge(registry)
-                    self._fresh_units += 1
-                    unit_docs[unit] = doc
-                    self.checkpointer.record(key, doc)
-                    self._observe_unit(job, unit, doc)
-                    self._notify(job, unit, doc, fresh=True)
-                    if doc["status"] not in ("ok",):
-                        status = "failed"
-                    committed += 1
-                pending = pending[committed:]
-            if interrupted:
-                raise _Interrupted()
-        ordered = {unit: unit_docs[unit] for unit in units
-                   if unit in unit_docs}
-        return self._assemble_job(job, ordered, status)
-
-    def _run_job(self, job: JobSpec) -> dict:
-        if self.workers > 1:
-            return self._run_job_parallel(job)
-        from repro.obs.tracer import maybe_span
-        policy = self.policy
-        unit_docs: dict = {}
-        status = "ok"
-        started = self.clock()
-        with maybe_span(self.tracer, "serve.job", id=job.id,
-                        kind=job.kind):
-            for unit in job.units(policy.seeds):
-                key = f"{job.id}:{unit}"
-                stored = self.checkpointer.units.get(key)
-                if stored is not None:
-                    unit_docs[unit] = stored
-                    if self._m is not None:
-                        self._m.restored.inc()
-                    self._notify(job, unit, stored, fresh=False)
-                    continue
-                if self._check_deadline(job, started):
-                    status = "deadline-exceeded"
+        fresh: list = []
+        for unit in units:
+            key = f"{job.id}:{unit}"
+            stored = self.checkpointer.units.get(key)
+            if stored is not None:
+                unit_docs[unit] = stored
+                if self._m is not None:
+                    self._m.restored.inc()
+                self._notify(job, unit, stored, fresh=False)
+            else:
+                fresh.append((unit, key))
+        interrupted = False
+        if self.max_units is not None:
+            budget = max(0, self.max_units - self._fresh_units)
+            if len(fresh) > budget:
+                interrupted = True
+                fresh = fresh[:budget]
+        pending = list(fresh)
+        while pending:
+            if self._check_deadline(job, started):
+                status = "deadline-exceeded"
+                for unit, key in pending:
                     self._skip_deadline(job, unit, unit_docs)
-                    continue
-                if (self.max_units is not None
-                        and self._fresh_units >= self.max_units):
-                    raise _Interrupted()
-                degraded = self._job_degraded(job, unit_docs)
-                doc = self._attempt_unit_isolated(job, unit, key,
-                                                  degraded)
+                break
+            degraded = self._job_degraded(job, unit_docs)
+            tasks = [self._unit_task(job, unit, key, degraded)
+                     for unit, key in pending]
+            results = self._worker_pool().run(self.pool_task_fn,
+                                              tasks)
+            committed = 0
+            for (unit, key), task, res in zip(pending, tasks,
+                                              results):
+                if self._job_degraded(job, unit_docs) \
+                        != task.degraded:
+                    break
+                if res.crashed:
+                    if self._wm is not None:
+                        self._wm.crashes.inc()
+                    inline_start = time.perf_counter()
+                    doc, registry = self.pool_task_fn(task)
+                    self._account_worker(
+                        key, -1, time.perf_counter() - inline_start)
+                else:
+                    doc, registry = res.value
+                    self._account_worker(key, res.worker, res.wall_s)
+                if registry is not None and self.metrics is not None:
+                    self.metrics.merge(registry)
                 self._fresh_units += 1
                 unit_docs[unit] = doc
                 self.checkpointer.record(key, doc)
@@ -815,6 +754,47 @@ class JobRunner:
                 self._notify(job, unit, doc, fresh=True)
                 if doc["status"] not in ("ok",):
                     status = "failed"
+                committed += 1
+            pending = pending[committed:]
+        if interrupted:
+            raise _Interrupted()
+        ordered = {unit: unit_docs[unit] for unit in units
+                   if unit in unit_docs}
+        return self._assemble_job(job, ordered, status)
+
+    def _run_job(self, job: JobSpec) -> dict:
+        if self.workers > 1:
+            return self._run_job_parallel(job)
+        policy = self.policy
+        unit_docs: dict = {}
+        status = "ok"
+        started = self.clock()
+        for unit in job.units(policy.seeds):
+            key = f"{job.id}:{unit}"
+            stored = self.checkpointer.units.get(key)
+            if stored is not None:
+                unit_docs[unit] = stored
+                if self._m is not None:
+                    self._m.restored.inc()
+                self._notify(job, unit, stored, fresh=False)
+                continue
+            if self._check_deadline(job, started):
+                status = "deadline-exceeded"
+                self._skip_deadline(job, unit, unit_docs)
+                continue
+            if (self.max_units is not None
+                    and self._fresh_units >= self.max_units):
+                raise _Interrupted()
+            degraded = self._job_degraded(job, unit_docs)
+            doc = self._attempt_unit_isolated(job, unit, key,
+                                              degraded)
+            self._fresh_units += 1
+            unit_docs[unit] = doc
+            self.checkpointer.record(key, doc)
+            self._observe_unit(job, unit, doc)
+            self._notify(job, unit, doc, fresh=True)
+            if doc["status"] not in ("ok",):
+                status = "failed"
         return self._assemble_job(job, unit_docs, status)
 
     def run(self) -> dict:

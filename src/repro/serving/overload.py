@@ -66,7 +66,7 @@ def _percentile(sorted_values, q: float) -> float:
 
 def simulate_overload(spec, tenants, policy: AdmissionPolicy,
                       cost_model: CostModel, health=None, chaos=(),
-                      metrics=None, tracer=None) -> dict:
+                      metrics=None) -> dict:
     """Run the open-loop overload simulation; the decision document.
 
     ``health`` is shared state: chaos quarantines and brownout both
@@ -76,8 +76,7 @@ def simulate_overload(spec, tenants, policy: AdmissionPolicy,
     """
     arrivals = generate_arrivals(spec, tenants)
     controller = AdmissionController(policy, cost_model, tenants,
-                                     health=health, metrics=metrics,
-                                     tracer=tracer)
+                                     health=health, metrics=metrics)
     events = [(arrival.t_s, 0, "arrival", arrival)
               for arrival in arrivals]
     events += [(event["t_s"], 1, "chaos", event) for event in chaos]
@@ -227,7 +226,7 @@ def jobs_from_completions(completions) -> list:
 
 def run_overload_serve(spec, tenants, admission_policy, serve_policy,
                        gpu=None, pim=None, library=None, chaos=(),
-                       cost_model=None, metrics=None, tracer=None,
+                       cost_model=None, metrics=None,
                        workers: int = 1, threads: int = 1,
                        checkpoint_path=None, resume_path=None,
                        checkpoint_keep=None, max_units=None,
@@ -250,17 +249,16 @@ def run_overload_serve(spec, tenants, admission_policy, serve_policy,
                                           library=library,
                                           workloads=workloads,
                                           ras=serve_policy.ras_config())
-    health = serve_policy.health_monitor(tracer, metrics)
+    health = serve_policy.health_monitor(metrics)
     sim = simulate_overload(spec, tenants, admission_policy, cost_model,
-                            health=health, chaos=chaos, metrics=metrics,
-                            tracer=tracer)
+                            health=health, chaos=chaos, metrics=metrics)
     jobs = jobs_from_completions(sim["completions"])
     runner = JobRunner(jobs, serve_policy, gpu=gpu, pim=pim,
                        library=library, checkpoint_path=checkpoint_path,
                        resume_path=resume_path,
                        checkpoint_keep=checkpoint_keep,
-                       max_units=max_units, tracer=tracer,
-                       metrics=metrics, on_unit=on_unit,
+                       max_units=max_units, metrics=metrics,
+                       on_unit=on_unit,
                        workers=workers, threads=threads,
                        worker_metrics=worker_metrics)
     document = runner.run()

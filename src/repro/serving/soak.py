@@ -52,8 +52,7 @@ def soak_cell(load: float, chaos_kind: str, cost_model: CostModel,
               tenants=DEFAULT_TENANTS, policy: AdmissionPolicy = None,
               seed: int = 0, duration_s: float = 2.0,
               process: str = "poisson", fault_seed: int = 0,
-              fault_scale: float = 1.0, metrics=None,
-              tracer=None) -> dict:
+              fault_scale: float = 1.0, metrics=None) -> dict:
     """One campaign cell: simulate, check invariants, summarize."""
     policy = policy if policy is not None else AdmissionPolicy()
     rate = load * capacity_qps(cost_model, tenants)
@@ -63,8 +62,7 @@ def soak_cell(load: float, chaos_kind: str, cost_model: CostModel,
              if chaos_kind == "faults" else ())
     health = HealthMonitor()
     sim = simulate_overload(spec, tenants, policy, cost_model,
-                            health=health, chaos=chaos, metrics=metrics,
-                            tracer=tracer)
+                            health=health, chaos=chaos, metrics=metrics)
     violations = check_invariants(sim)
     return {"load": load, "chaos": chaos_kind, "rate_qps": rate,
             "passed": not violations, "violations": violations,

@@ -156,6 +156,52 @@ class TestSchedulerCountersMatchSummary:
                 for s in BreakerState)
             assert total == len(info["events"])
 
+    @pytest.fixture(scope="class")
+    def timed_out(self):
+        """A Boot run that retries, falls back and times out, but stays
+        on PIM long enough to keep every recovery path busy."""
+        from repro.params import paper_params
+        from repro.workloads.applications import build
+        params = paper_params()
+        workload = build("Boot", params)
+        registry = MetricsRegistry()
+        framework = AnaheimFramework(
+            A100_80GB, A100_NEAR_BANK,
+            fault_plan=default_plan(seed=0, stuck_sites=(1, 5)),
+            health=HealthMonitor(degraded_after=3, gpu_only_after=50,
+                                 metrics=registry),
+            breakers=BreakerBoard(metrics=registry),
+            kernel_timeout=1e-4, metrics=registry)
+        report = framework.run(workload.blocks, params.degree,
+                               label="Boot (timeouts)").report
+        return registry, report
+
+    def test_recovery_counters_equal_summary(self, timed_out):
+        registry, report = timed_out
+        summary = report.fault_summary
+        faults = registry.get("anaheim_fault_events_total")
+        assert summary["recovered_retry"] > 0
+        assert summary["recovered_fallback"] > 0
+        assert faults.value(event="retry") == summary["recovered_retry"]
+        assert faults.value(event="fallback") == \
+            summary["recovered_fallback"]
+
+    def test_timeout_and_reroute_counters_equal_summary(self, timed_out):
+        registry, report = timed_out
+        summary = report.fault_summary
+        faults = registry.get("anaheim_fault_events_total")
+        assert summary["kernel_timeouts"] > 0
+        assert faults.value(event="kernel_timeout") == \
+            summary["kernel_timeouts"]
+        assert faults.value(event="breaker_reroute") == \
+            summary["breaker_reroutes"]
+
+    def test_transitions_counter_equals_report(self, timed_out):
+        registry, report = timed_out
+        assert report.transitions > 0
+        assert registry.get("anaheim_transitions_total").value() == \
+            report.transitions
+
 
 class TestJobRunnerMetrics:
     def test_serve_units_and_latency_histogram(self):

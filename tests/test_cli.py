@@ -561,6 +561,26 @@ class TestRasFlagValidation:
         assert err.startswith("error: --retention-rate")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("flag", ["--kernel-timeout", "--deadline"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "abc"])
+    def test_bad_timeout_or_deadline_is_one_line_exit_1(self, capsys, flag,
+                                                       value):
+        # Before validation, a negative timeout treated every kernel as
+        # hung, nan disabled the timeout, and a negative deadline
+        # skipped every unit.
+        assert main(["serve", "--jobs", "run:Boot", "--fault-seed", "0",
+                     flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be positive")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_valid_timeout_and_deadline_reach_the_policy(self, capsys):
+        assert main(["serve", "--jobs", "run:HELR", "--kernel-timeout",
+                     "1e-4", "--deadline", "100", "--json"]) == 0
+        policy = json.loads(capsys.readouterr().out)["policy"]
+        assert policy["kernel_timeout_s"] == 1e-4
+        assert policy["deadline_s"] == 100.0
+
     @pytest.mark.parametrize("argv", [
         ["ras", "--retention-rates", "200,zero"],
         ["ras", "--retention-rates", ","],
