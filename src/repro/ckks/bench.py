@@ -1,15 +1,18 @@
-"""Wall-clock benchmarks of the executable CKKS layer.
+"""Engine counters and same-run NTT ratios of the executable CKKS layer.
 
-Unlike the analytical performance model (``repro.core``), these numbers
-time the *functional* implementation actually running: the batched
-limb-plane NTT against the per-limb reference, a full hybrid key
-switch, and an end-to-end bootstrap.  ``anaheim-repro bench --workload
-functional`` records them as a ``BENCH_functional.json`` baseline so
-numeric-layer regressions show up in wall-clock terms.
+``anaheim-repro bench --workload functional`` gates two things here:
 
-Wall time is noisy, so every metric is the best of ``repeats`` trials
-— the minimum is the standard estimator for "how fast can this code
-run" on a machine with background load.
+* :func:`engine_counters` — what one warm bootstrap asks of the kernel
+  engine (NTT calls and limb rows, Shoup vs strict rows, BConv calls,
+  cache hits).  These are machine-independent, so
+  ``BENCH_functional.json`` pins them exactly.
+* :func:`ntt_ratios` — the batched forward NTT against two reference
+  arms timed in the same run.  Host speed cancels in a ratio, so each
+  is checked against a constant floor (:data:`RATIO_FLOORS`) rather
+  than pinned.
+
+Absolute wall time of the bootstrap is measured by ``bench/run.py
+--workload boot``, not here.
 """
 
 from __future__ import annotations
@@ -19,105 +22,78 @@ import time
 import numpy as np
 
 from repro.ckks import instrument, modmath
-from repro.ckks.fixture import BENCH_PARAMS, bootstrap_fixture
-from repro.ckks.keyswitch import key_switch
+from repro.ckks.fixture import BENCH_PARAMS
 from repro.ckks.ntt import NttContext
 from repro.ckks.rns import batch_ntt_context
+from repro.obs.tracer import Tracer
+from repro.params import CkksParams
 
 #: NTT transforms per timing trial; one transform of a (19, 128) limb
 #: matrix is microseconds, far below timer resolution.
 NTT_LOOPS = 200
 
+#: Timing trials per arm; each arm takes the best (minimum), the
+#: standard estimator of "how fast can this code run" under load.
+NTT_TRIALS = 5
 
-def _best_of(fn, repeats: int) -> float:
+#: Lowest acceptable value of each same-run ratio.
+RATIO_FLOORS = {"ntt_batch_speedup": 3.0, "ntt_lazy_speedup": 1.5}
+
+
+def engine_counters(fx, tracer=None) -> tuple:
+    """``(counters, precision_max_err)`` of one warm bootstrap.
+
+    Bootstraps ``fx.ct_low`` of a :func:`~repro.ckks.fixture.
+    bootstrap_fixture` with ``tracer`` (a fresh
+    :class:`~repro.obs.tracer.Tracer` by default) attached through
+    :mod:`repro.ckks.instrument`.  The fixture's warmup has already
+    filled every cache, so two calls return identical counters.
+    """
+    tracer = Tracer() if tracer is None else tracer
+    previous = instrument.get_tracer()
+    instrument.set_tracer(tracer)
+    try:
+        refreshed = fx.bts.bootstrap(fx.ct_low)
+    finally:
+        instrument.set_tracer(previous)
+    return dict(sorted(tracer.counters.items())), fx.decrypt_error(refreshed)
+
+
+def _best_of(fn) -> float:
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(NTT_TRIALS):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
     return best
 
 
-def run_functional_bench(repeats: int = 3, tracer=None) -> dict:
-    """Time the executable numeric layer; returns a metrics document.
-
-    ``tracer`` (a ``repro.obs.tracer.Tracer``) is attached to the CKKS
-    instrumentation hooks for the duration of the run, so the returned
-    ``counters`` record batched-NTT calls, scratch reuse, and cache
-    hits alongside the wall-clock metrics.
-    """
-    fx = bootstrap_fixture()
-    params, keys, ev, bts = fx.params, fx.keys, fx.ev, fx.bts
-
-    full_basis = tuple(params.moduli) + tuple(params.aux_moduli)
+def ntt_ratios() -> dict:
+    """Same-run speedups of the batched forward NTT over the full
+    ``BENCH_PARAMS`` basis: against per-limb :class:`NttContext`
+    transforms (``ntt_batch_speedup``) and against itself with the lazy
+    Shoup kernels disabled (``ntt_lazy_speedup``)."""
+    params = CkksParams.create(**BENCH_PARAMS)
+    basis = tuple(params.moduli) + tuple(params.aux_moduli)
     rng = np.random.default_rng(7)
     limbs = np.stack([rng.integers(0, q, size=params.degree, dtype=np.int64)
-                      for q in full_basis])
+                      for q in basis])
+    batch_ctx = batch_ntt_context(params.degree, basis)
+    per_limb = [NttContext(params.degree, q) for q in basis]
 
-    batch_ctx = batch_ntt_context(params.degree, full_basis)
-    per_limb = [NttContext(params.degree, q) for q in full_basis]
-
-    def batched_forward():
+    def batched():
         for _ in range(NTT_LOOPS):
             batch_ctx.forward(limbs)
 
-    def batched_inverse():
+    def reference():
         for _ in range(NTT_LOOPS):
-            batch_ctx.inverse(limbs)
+            for ctx, row in zip(per_limb, limbs):
+                ctx.forward(row)
 
-    def reference_forward():
-        for _ in range(NTT_LOOPS):
-            for i, ctx in enumerate(per_limb):
-                ctx.forward(limbs[i])
-
-    # Key switch of a full-basis NTT polynomial under the relin key —
-    # the decompose → ModUp → KeyMult → ModDown pipeline end to end.
-    ct = ev.encrypt_message(0.3 * rng.normal(size=params.slot_count))
-
-    def one_key_switch():
-        key_switch(ct.a, keys.relin, ev.decomp)
-
-    # End-to-end bootstrap from the lowest level.  The fixture's
-    # construction already ran the untimed warmup (CtS/StC rotation
-    # keys, diagonal-plaintext caches — one-time setup cost).
-    ct_low = fx.ct_low
-    refreshed = bts.bootstrap(ct_low)
-
-    # Strict-mode arm of the lazy-reduction comparison: the same batched
-    # transform with Shoup kernels disabled, i.e. the original per-pass
-    # ``%`` algorithm.  Timed OUTSIDE the traced region so the pinned
-    # baseline counters (``ckks.batch_ntt.forward`` etc.) are unchanged.
-    def strict_forward():
+    def strict():
         with modmath.lazy_scope(False):
-            for _ in range(NTT_LOOPS):
-                batch_ctx.forward(limbs)
+            batched()
 
-    ntt_forward_strict_s = _best_of(strict_forward, repeats)
-
-    old_tracer = instrument.get_tracer()
-    instrument.set_tracer(tracer)
-    try:
-        metrics = {
-            "ntt_forward_batched_s": _best_of(batched_forward, repeats),
-            "ntt_inverse_batched_s": _best_of(batched_inverse, repeats),
-            "ntt_forward_reference_s": _best_of(reference_forward, repeats),
-            "key_switch_s": _best_of(one_key_switch, repeats),
-            "bootstrap_s": _best_of(
-                lambda: bts.bootstrap(ct_low), repeats),
-        }
-    finally:
-        instrument.set_tracer(old_tracer)
-    metrics["ntt_batch_speedup"] = (metrics["ntt_forward_reference_s"]
-                                    / metrics["ntt_forward_batched_s"])
-    metrics["ntt_forward_strict_s"] = ntt_forward_strict_s
-    metrics["ntt_lazy_speedup"] = (ntt_forward_strict_s
-                                   / metrics["ntt_forward_batched_s"])
-
-    return {
-        "metrics": metrics,
-        "counters": dict(tracer.counters) if tracer is not None else {},
-        "precision_max_err": fx.decrypt_error(refreshed),
-        "config": {"params": dict(BENCH_PARAMS), "repeats": repeats,
-                   "ntt_loops": NTT_LOOPS,
-                   "limb_count": len(full_basis)},
-    }
+    fast = _best_of(batched)
+    return {"ntt_batch_speedup": _best_of(reference) / fast,
+            "ntt_lazy_speedup": _best_of(strict) / fast}

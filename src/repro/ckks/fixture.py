@@ -1,6 +1,6 @@
 """The shared bootstrap-verify-decrypt fixture.
 
-The functional benchmark (:mod:`repro.ckks.bench`), the fault campaign
+The engine-counter benchmark (:mod:`repro.ckks.bench`), the fault campaign
 (:mod:`repro.faults.campaign`), and the RAS campaign
 (:mod:`repro.faults.ras_campaign`) all need the same end-to-end rig: a
 keyed evaluator, a bootstrapper with its one-time caches warmed, and a
@@ -19,8 +19,8 @@ import numpy as np
 from repro.params import CkksParams
 
 #: Parameter set for the functional benchmarks and campaigns —
-#: identical to the bootstrap test fixture so the timings track what
-#: the tier-1 suite actually exercises.
+#: identical to the bootstrap test fixture so the pinned counters track
+#: what the tier-1 suite actually exercises.
 BENCH_PARAMS = dict(degree=2 ** 7, level_count=15, aux_count=4,
                     prime_bits=28, base_prime_bits=31)
 

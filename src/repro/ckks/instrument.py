@@ -4,8 +4,9 @@ The executable CKKS layer is a library of free functions and cached
 contexts, so it cannot thread a :class:`~repro.obs.tracer.Tracer`
 through every call the way the performance models do.  Instead, a
 module-level tracer can be attached around a region of interest
-(``bench functional`` and ``profile`` do this) and the engine reports
-where its speedup comes from:
+(:func:`repro.ckks.bench.engine_counters` does this around one warm
+bootstrap for ``bench``, ``metrics`` and ``profile``) and the engine
+reports what the work cost:
 
 * ``ckks.batch_ntt.forward`` / ``ckks.batch_ntt.inverse`` — batched
   limb-plane transforms (each replaces ``L`` per-limb transforms).

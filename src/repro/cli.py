@@ -327,24 +327,30 @@ def _bench_framework(args):
     return framework, pim, workload, params
 
 
-def _run_functional(args, tracer=None) -> dict:
-    from repro.ckks.bench import run_functional_bench
-    return run_functional_bench(repeats=getattr(args, "repeats", 3),
-                                tracer=tracer)
-
-
 def _bench_functional(args) -> int:
-    """Wall-clock bench of the executable CKKS layer (no modeled run)."""
-    result = _run_functional(args, tracer=Tracer())
-    metrics = result["metrics"]
-    return _baseline_gate(
-        args, "functional", metrics, result["config"],
-        extra={"counters": result["counters"],
-               "precision_max_err": result["precision_max_err"]},
-        summary=(f"bootstrap {format_seconds(metrics['bootstrap_s'])}, "
-                 f"key switch {format_seconds(metrics['key_switch_s'])}, "
-                 f"NTT batch speedup {metrics['ntt_batch_speedup']:.2f}x, "
-                 f"lazy speedup {metrics['ntt_lazy_speedup']:.2f}x"))
+    """Engine counters of one warm bootstrap, gated against
+    ``BENCH_functional.json``, plus the same-run NTT ratios, each
+    checked against its constant floor on write and on check."""
+    from repro.ckks import bench
+    from repro.ckks.fixture import BENCH_PARAMS, bootstrap_fixture
+    counters, precision = bench.engine_counters(bootstrap_fixture())
+    ratios = bench.ntt_ratios()
+    low = [f"{name} {ratios[name]:.2f}x < {floor:g}x"
+           for name, floor in bench.RATIO_FLOORS.items()
+           if ratios[name] < floor]
+    if low:
+        print(f"functional: FAIL — {'; '.join(low)}")
+        if not args.check:
+            return 1
+    config = {"params": dict(BENCH_PARAMS), "ntt_loops": bench.NTT_LOOPS,
+              "repeats": bench.NTT_TRIALS}
+    status = _baseline_gate(
+        args, "functional", counters, config,
+        extra={**ratios, "precision_max_err": precision},
+        summary=", ".join([f"{name} {value:.2f}x"
+                           for name, value in ratios.items()]
+                          + [f"precision {precision:.2e}"]))
+    return status or int(bool(low))
 
 
 def _bench_parallel(args) -> int:
@@ -354,10 +360,10 @@ def _bench_parallel(args) -> int:
     worker processes, byte-compares the two documents, and records the
     **deterministic** pool speedup — :func:`~repro.parallel.pool_timeline`
     replaying the per-unit simulated costs onto worker lanes — in
-    ``BENCH_parallel.json``.  Wall clocks are reported for information
-    only (``extra``), never gated: the modeled speedup is a pure
-    function of (costs, workers) and reproduces exactly under
-    ``bench --check`` on any host, including single-core CI runners.
+    ``BENCH_parallel.json``.  Wall clocks are printed for information
+    only, never recorded: the modeled speedup is a pure function of
+    (costs, workers) and reproduces exactly under ``bench --check`` on
+    any host, including single-core CI runners.
     Writing demands half the ideal speedup, ``min(workers, units)``.
     """
     import time as _time
@@ -391,10 +397,6 @@ def _bench_parallel(args) -> int:
     }
     config = {"units": args.units, "workers": workers,
               "threads": args.threads, "workload": "Boot"}
-    extra = {"wall_serial_s": wall_serial_s,
-             "wall_parallel_s": wall_parallel_s,
-             "wall_speedup": (wall_serial_s / wall_parallel_s
-                              if wall_parallel_s else 0.0)}
     summary = (f"{timeline['units']} units x {workers} workers: "
                f"modeled speedup {timeline['speedup']:.2f}x "
                f"({format_seconds(timeline['serial_s'])} -> "
@@ -410,7 +412,7 @@ def _bench_parallel(args) -> int:
         print(f"parallel: FAIL — modeled speedup "
               f"{timeline['speedup']:.2f}x < {floor:g}x; {summary}")
         return 1
-    status = _baseline_gate(args, "parallel", metrics, config, extra=extra)
+    status = _baseline_gate(args, "parallel", metrics, config)
     print(summary)
     return status or int(not digest_match)
 
@@ -418,8 +420,8 @@ def _bench_parallel(args) -> int:
 #: ``bench --history`` trend columns per baseline name; model
 #: workloads (Boot, HELR, ...) show the schedule totals.
 _TREND_METRICS = {
-    "functional": ("bootstrap_s", "key_switch_s", "ntt_batch_speedup",
-                   "ntt_lazy_speedup"),
+    "functional": ("ckks.batch_ntt.forward", "ckks.batch_ntt.inverse",
+                   "ckks.modmath.strict_fallback"),
     "parallel": ("throughput_speedup", "serial_s", "makespan_s"),
     "ras": ("corrected", "uncorrected", "overhead"),
     "overload": ("goodput_qps", "shed_rate", "reject_rate"),
@@ -688,6 +690,19 @@ def _parse_positive_float(text, name: str) -> float:
     except ValueError:
         raise ParameterError(f"{name} must be positive and finite, "
                              f"got {text!r}") from None
+
+
+def _parse_tolerance(text) -> float:
+    """``--tolerance``: a finite float >= 0, else :class:`ParameterError`
+    (``nan`` and ``inf`` would pass every baseline check)."""
+    try:
+        value = float(text)
+        if 0 <= value < float("inf"):
+            return value
+    except ValueError:
+        pass
+    raise ParameterError(f"--tolerance must be a finite number >= 0, "
+                         f"got {text!r}")
 
 
 def _parse_list(text, name: str, convert) -> tuple:
@@ -1135,11 +1150,11 @@ _FUNCTIONAL_RATES = (("scratch buffers", "ckks.scratch"),
                      ("ntt tables", "ckks.ntt_tables"))
 
 
-def _metrics_functional(args, registry, events):
-    """Fold the functional CKKS engine counters into the registry."""
-    tracer = Tracer()
-    result = _run_functional(args, tracer=tracer)
-    counters = result["counters"]
+def _metrics_functional(registry, events):
+    """Fold one warm bootstrap's engine counters into the registry."""
+    from repro.ckks.bench import engine_counters
+    from repro.ckks.fixture import bootstrap_fixture
+    counters, precision = engine_counters(bootstrap_fixture())
     family = registry.counter("anaheim_functional_events_total",
                               "Functional CKKS engine counters",
                               labelnames=("event",))
@@ -1162,12 +1177,7 @@ def _metrics_functional(args, registry, events):
     share = shoup / dispatched if dispatched else 0.0
     lines.append(f"  {'shoup dispatch':<16} {share:7.2%}  "
                  f"({shoup}/{dispatched} limb rows)")
-    bench = result["metrics"]
-    lines.append(f"  bootstrap {format_seconds(bench['bootstrap_s'])}, "
-                 f"NTT batch speedup {bench['ntt_batch_speedup']:.2f}x, "
-                 f"lazy speedup {bench['ntt_lazy_speedup']:.2f}x")
-    events.emit("functional_bench", metrics=bench,
-                precision_max_err=result["precision_max_err"])
+    events.emit("functional_bench", precision_max_err=precision)
     return lines
 
 
@@ -1178,7 +1188,7 @@ def cmd_metrics(args) -> int:
     registry = MetricsRegistry()
     events = EventLog()
     if args.workload == "functional":
-        util_lines = _metrics_functional(args, registry, events)
+        util_lines = _metrics_functional(registry, events)
     else:
         gpu, pim, library = _target(args)
         params = paper_params()
@@ -1341,12 +1351,11 @@ def cmd_top(args) -> int:
 def cmd_profile(args) -> int:
     tracer = Tracer()
     if args.workload == "functional":
-        result = _run_functional(args, tracer=tracer)
-        metrics = result["metrics"]
-        print(f"functional CKKS layer: bootstrap "
-              f"{format_seconds(metrics['bootstrap_s'])}, key switch "
-              f"{format_seconds(metrics['key_switch_s'])}, NTT batch "
-              f"speedup {metrics['ntt_batch_speedup']:.2f}x")
+        from repro.ckks.bench import engine_counters
+        from repro.ckks.fixture import bootstrap_fixture
+        _, precision = engine_counters(bootstrap_fixture(), tracer)
+        print(f"functional CKKS layer: one warm bootstrap, precision "
+              f"max err {precision:.2e}")
         print()
         print(render_counters(tracer))
         return 0
@@ -1412,7 +1421,7 @@ def _add_baseline_flags(parser, name: str, what: str) -> None:
                         help=f"record the {what} as BENCH_{name}.json")
     parser.add_argument("--check", action="store_true",
                         help=f"compare against the stored BENCH_{name}.json")
-    parser.add_argument("--tolerance", type=float, default=0.02)
+    parser.add_argument("--tolerance", default="0.02")
 
 
 def _add_pool_flags(parser, workers: int = 1) -> None:
@@ -1547,13 +1556,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--check", action="store_true",
                        help="compare a fresh run against the stored "
                             "baseline; exit nonzero on regression")
-    bench.add_argument("--tolerance", type=float, default=0.02,
-                       help="relative tolerance per metric (default 0.02; "
-                            "use a generous value for the wall-clock "
-                            "`functional` workload)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timing trials per metric for the `functional` "
-                            "workload (best-of; default 3)")
+    bench.add_argument("--tolerance", default="0.02",
+                       help="relative tolerance per metric, a finite "
+                            "float >= 0 (default 0.02)")
     bench.add_argument("--history", action="store_true",
                        help="print the recorded run-to-run trend "
                             "(every bench run appends to "
@@ -1668,9 +1673,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="also write the JSONL event log here")
     metrics_p.add_argument("--utilization", action="store_true",
                            help="print the derived utilization report")
-    metrics_p.add_argument("--repeats", type=int, default=1,
-                           help="timing trials for the `functional` "
-                                "workload (default 1)")
     metrics_p.add_argument("--smoke", action="store_true",
                            help="gating self-check: exposition parses, "
                                 "utilization accounting closes within "
@@ -1727,6 +1729,8 @@ def main(argv=None) -> int:
                 "ras": cmd_ras, "serve": cmd_serve, "metrics": cmd_metrics,
                 "top": cmd_top, "soak": cmd_soak}
     try:
+        if hasattr(args, "tolerance"):
+            args.tolerance = _parse_tolerance(args.tolerance)
         return handlers[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -80,8 +80,7 @@ def check_baseline_metrics(baseline: dict, current: dict,
 
     A metric regresses when it deviates from the baseline by more than
     ``tolerance`` *in either direction* — an unexplained speedup is as
-    suspicious as a slowdown in a deterministic model.  (Wall-clock
-    benchmarks are *not* deterministic; pass a generous tolerance.)
+    suspicious as a slowdown in a deterministic model.
     """
     regressions = []
     for metric, reference in baseline.get("metrics", {}).items():

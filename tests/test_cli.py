@@ -159,35 +159,91 @@ class TestBench:
         assert main(["bench", "--workload", "HELR", "--dir", str(tmp_path),
                      "--check", "--tolerance", "0.2"]) == 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "abc"])
+    @pytest.mark.parametrize("command", [
+        ["bench", "--workload", "HELR", "--check"],
+        ["faults", "--seeds", "0", "--layer", "analytic", "--check"]])
+    def test_bad_tolerance_is_one_line_exit_1(self, capsys, tmp_path,
+                                              command, value):
+        # nan and inf used to pass every metric, even a tripled one.
+        assert main(command + ["--dir", str(tmp_path),
+                               "--tolerance", value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --tolerance must be a finite number")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_zero_tolerance_is_exact(self, tmp_path):
+        args = ["bench", "--workload", "HELR", "--dir", str(tmp_path)]
+        assert main(args) == 0
+        assert main(args + ["--check", "--tolerance", "0"]) == 0
+        path = tmp_path / "BENCH_HELR.json"
+        doc = json.loads(path.read_text())
+        doc["metrics"]["total_time"] *= 3
+        path.write_text(json.dumps(doc))
+        assert main(args + ["--check", "--tolerance", "0"]) == 1
+
     def test_check_without_baseline_errors(self, capsys, tmp_path):
         assert main(["bench", "--workload", "HELR", "--dir", str(tmp_path),
                      "--check"]) == 2
         assert "no baseline" in capsys.readouterr().out
 
 
+@pytest.fixture
+def floor_ratios(monkeypatch):
+    """Pin the NTT ratios at their floors: the counter gate under test
+    must not depend on host timing (the floors themselves pass)."""
+    from repro.ckks import bench
+    floors = dict(bench.RATIO_FLOORS)
+    monkeypatch.setattr(bench, "ntt_ratios", lambda: dict(floors))
+
+
 class TestFunctionalBench:
-    def test_write_then_check(self, capsys, tmp_path):
-        assert main(["bench", "--workload", "functional", "--dir",
-                     str(tmp_path), "--repeats", "1"]) == 0
-        doc = json.loads((tmp_path / "BENCH_functional.json").read_text())
+    def test_write_then_check(self, capsys, tmp_path, floor_ratios):
+        args = ["bench", "--workload", "functional", "--dir", str(tmp_path)]
+        assert main(args) == 0
+        path = tmp_path / "BENCH_functional.json"
+        doc = json.loads(path.read_text())
         metrics = doc["metrics"]
-        assert metrics["ntt_batch_speedup"] > 1.0
-        assert metrics["bootstrap_s"] > 0
-        assert metrics["key_switch_s"] > 0
-        assert doc["counters"]["ckks.batch_ntt.forward"] > 0
+        assert not [name for name in metrics if name.endswith("_s")]
+        # One warm bootstrap, not a mix of repeats and timing loops.
+        assert metrics["ckks.batch_ntt.forward"] == 619
+        assert metrics["ckks.modmath.strict_fallback"] == 1285
+        assert doc["ntt_lazy_speedup"] == 1.5
         assert doc["precision_max_err"] < 5e-3
-        # Wall clock is noisy; the check plumbing is what's under test.
+        assert main(args + ["--check", "--tolerance", "0"]) == 0
+        assert "within ±0%" in capsys.readouterr().out
+        metrics["ckks.batch_ntt.inverse"] += 1
+        path.write_text(json.dumps(doc))
+        assert main(args + ["--check", "--tolerance", "0"]) == 1
+        assert "ckks.batch_ntt.inverse" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("ratio", ["ntt_batch_speedup",
+                                       "ntt_lazy_speedup"])
+    def test_ratio_under_floor_fails(self, capsys, monkeypatch, tmp_path,
+                                     ratio):
+        from repro.ckks import bench
+        monkeypatch.setitem(bench.RATIO_FLOORS, ratio, 1e9)
         assert main(["bench", "--workload", "functional", "--dir",
-                     str(tmp_path), "--repeats", "1",
-                     "--check", "--tolerance", "10.0"]) == 0
-        assert "within" in capsys.readouterr().out
+                     str(tmp_path)]) == 1
+        assert f"FAIL — {ratio}" in capsys.readouterr().out
+        assert not (tmp_path / "BENCH_functional.json").exists()
+
+    def test_ratio_under_floor_fails_the_check(self, capsys, monkeypatch,
+                                               tmp_path, floor_ratios):
+        args = ["bench", "--workload", "functional", "--dir", str(tmp_path)]
+        assert main(args) == 0
+        from repro.ckks import bench
+        monkeypatch.setitem(bench.RATIO_FLOORS, "ntt_lazy_speedup", 1e9)
+        assert main(args + ["--check", "--tolerance", "0"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL — ntt_lazy_speedup" in out
+        assert "all metrics within" in out
 
     def test_profile_surfaces_engine_counters(self, capsys):
         assert main(["profile", "--workload", "functional"]) == 0
         out = capsys.readouterr().out
         assert "ckks.batch_ntt.forward" in out
         assert "ckks.bconv.batched" in out
-        assert "NTT batch speedup" in out
 
 
 class TestFaultsCommand:
@@ -459,6 +515,25 @@ class TestBenchHistory:
         header = out.splitlines()[1].split()
         assert {"coverage", "injected", "mean_overhead"} <= set(header)
         assert "total_time" not in header
+
+    def test_functional_trend_reads_counters(self, capsys, tmp_path):
+        # Seconds-era entries have none of the counter columns.
+        from repro.obs.baseline import append_history
+        append_history(tmp_path, "functional", {"bootstrap_s": 0.5})
+        append_history(tmp_path, "functional",
+                       {"ckks.batch_ntt.forward": 619.0,
+                        "ckks.batch_ntt.inverse": 429.0,
+                        "ckks.modmath.strict_fallback": 1285.0})
+        assert main(["bench", "--workload", "functional", "--dir",
+                     str(tmp_path), "--history"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "bench history: functional (2 run(s))" in lines[0]
+        header = lines[1].split()
+        assert {"ckks.batch_ntt.forward", "ckks.batch_ntt.inverse",
+                "ckks.modmath.strict_fallback"} <= set(header)
+        assert "bootstrap_s" not in header
+        assert lines[2].split()[2:] == ["-"] * 9
+        assert "1285" in lines[3]
 
     def test_history_without_runs_is_empty(self, capsys, tmp_path):
         assert main(["bench", "--workload", "HELR", "--dir",
