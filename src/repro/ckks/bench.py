@@ -36,6 +36,9 @@ NTT_LOOPS = 200
 #: standard estimator of "how fast can this code run" under load.
 NTT_TRIALS = 5
 
+#: Limb rows multiplied on the lazy Shoup path vs the exact ``%`` path.
+DISPATCH_COUNTERS = ("ckks.modmath.shoup", "ckks.modmath.strict_fallback")
+
 #: Lowest acceptable value of each same-run ratio.
 RATIO_FLOORS = {"ntt_batch_speedup": 3.0, "ntt_lazy_speedup": 1.5}
 
@@ -47,7 +50,10 @@ def engine_counters(fx, tracer=None) -> tuple:
     bootstrap_fixture` with ``tracer`` (a fresh
     :class:`~repro.obs.tracer.Tracer` by default) attached through
     :mod:`repro.ckks.instrument`.  The fixture's warmup has already
-    filled every cache, so two calls return identical counters.
+    filled every cache, so two calls return identical counters.  The
+    tracer records only counters that fire; the per-path row counters
+    (:data:`DISPATCH_COUNTERS`) are always reported, 0 when idle, so a
+    baseline pins their zeros.
     """
     tracer = Tracer() if tracer is None else tracer
     previous = instrument.get_tracer()
@@ -56,7 +62,9 @@ def engine_counters(fx, tracer=None) -> tuple:
         refreshed = fx.bts.bootstrap(fx.ct_low)
     finally:
         instrument.set_tracer(previous)
-    return dict(sorted(tracer.counters.items())), fx.decrypt_error(refreshed)
+    counters = dict.fromkeys(DISPATCH_COUNTERS, 0.0)
+    counters.update(tracer.counters)
+    return dict(sorted(counters.items())), fx.decrypt_error(refreshed)
 
 
 def _best_of(fn) -> float:

@@ -28,8 +28,8 @@ reports what the work cost:
   bases must not grow memory without bound).
 * ``ckks.modmath.shoup`` / ``ckks.modmath.strict_fallback`` — limb
   rows multiplied through the lazy Shoup mul/shift/sub pipeline vs
-  rows that fell back to the exact ``%`` path (primes ≥ 2³⁰, or lazy
-  reduction disabled via :func:`repro.ckks.modmath.lazy_scope`).
+  rows run on the exact ``%`` path, which happens only while lazy
+  reduction is disabled via :func:`repro.ckks.modmath.lazy_scope`.
 * ``ckks.ntt_tables.hit`` / ``.miss`` / ``.evicted`` — the bounded
   module-level twiddle-plane cache shared by every ``NttContext`` /
   ``BatchNttContext`` keyed on ``(degree, q)``.

@@ -6,14 +6,15 @@ primes satisfying ``q ≡ 1 (mod 2N)`` — the NTT-friendliness condition —
 so products of two residues fit comfortably in a signed 64-bit integer
 (``2^28 * 2^28 = 2^56 < 2^63``).  We allow primes up to 31 bits, which
 keeps the same safety margin, and validate that bound at prime
-generation time.
+generation time and at NTT context construction.  The lazy Shoup/Harvey
+kernels below cover that whole range, so no prime width needs a
+separate code path.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,15 +26,6 @@ MAX_PRIME_BITS = 31
 
 #: Shift of the Shoup precomputed quotient: ``s' = floor(s·2^32 / q)``.
 SHOUP_SHIFT = 32
-
-#: Largest prime width admitted by the lazy ``[0, 2q)`` Shoup pipeline.
-#: The binding constraint is the Gentleman-Sande butterfly, which feeds
-#: ``x - y + 2q < 4q`` into the Shoup multiply: correctness of the
-#: ``[0, 2q)`` bound needs the multiplicand below ``2^32``, so ``4q ≤
-#: 2^32`` ⇒ ``q < 2^30``.  Wider primes (the 31-bit base prime) fall
-#: back to the exact ``%`` path.
-SHOUP_MAX_PRIME_BITS = 30
-SHOUP_MAX_PRIME = 1 << SHOUP_MAX_PRIME_BITS
 
 _SHIFT_U64 = np.uint64(SHOUP_SHIFT)
 
@@ -268,25 +260,28 @@ def mod_mac_into(a, b, acc, q, out: np.ndarray,
 # ---------------------------------------------------------------------------
 # Lazy-reduction Shoup/Harvey kernels.
 #
-# For primes ``q < 2^30`` the hardware-divide ``%`` in the hot kernels is
-# replaced by Shoup's precomputed-quotient multiply: with ``s' = floor(s ·
-# 2^32 / q)`` precomputed once per constant operand ``s``,
+# For every prime ``q < 2^31`` the hardware-divide ``%`` in the hot
+# kernels is replaced by Shoup's precomputed-quotient multiply: with
+# ``s' = floor(s · 2^32 / q)`` precomputed once per constant operand
+# ``s``,
 #
 #     hi = (x · s') >> 32;   r = x·s − hi·q
 #
 # satisfies ``r ≡ x·s (mod q)`` and ``r ∈ [0, 2q)`` for any ``x < 2^32``
 # — a mul/shift/mul/sub pipeline with no division, exactly the datapath
 # of Anaheim's MMAC multiplier units (§IV).  Values are kept *lazily* in
-# ``[0, 2q)`` between butterfly passes; one conditional subtraction per
-# pass replaces the per-butterfly ``%``, and :func:`reduce_final_into`
-# folds back to ``[0, q)`` at the end, so results are bit-identical to
-# the strict path.  All kernels operate on ``uint64`` views of the
-# ``int64`` residue buffers (values never exceed ``2^62``, so the
-# reinterpretation is value-preserving).
+# ``[0, 2q)`` or ``[0, 4q)`` between butterfly passes; one conditional
+# subtraction per pass replaces the per-butterfly ``%``, and
+# :func:`reduce_final_into` folds back to ``[0, q)`` at the end, so
+# results are bit-identical to the strict path.  Every multiplicand is
+# kept below ``2q < 2^32`` (the butterflies fold a ``[0, 4q)`` operand
+# once before multiplying when ``4q`` may exceed ``2^32``), so
+# ``x·s' < 2^64`` and ``x·s < 2^63``.  All kernels operate on ``uint64``
+# views of the ``int64`` residue buffers (values never exceed ``2^62``,
+# so the reinterpretation is value-preserving).
 #
-# The 31-bit base/aux primes exceed the ``q < 2^30`` bound; a per-limb
-# dispatch table (:func:`shoup_segments`) routes those rows through the
-# exact ``%`` fallback so mixed RNS bases stay correct.
+# The exact ``%`` kernels above remain the differential oracle: the
+# whole engine runs on them under ``lazy_scope(False)``.
 # ---------------------------------------------------------------------------
 
 _lazy_enabled = True
@@ -318,36 +313,12 @@ def lazy_scope(flag: bool):
         set_lazy_enabled(previous)
 
 
-def supports_shoup(q: int) -> bool:
-    """Whether prime ``q`` is narrow enough for the lazy pipeline."""
-    return q < SHOUP_MAX_PRIME
-
-
-@lru_cache(maxsize=None)
-def shoup_segments(basis: tuple) -> tuple:
-    """Contiguous ``(lo, hi, lazy)`` limb-row runs of an RNS basis.
-
-    Limb rows of an ``(L, N)`` matrix are grouped into maximal runs of
-    primes that share a dispatch path, so the batched kernels process
-    each run with one vectorized call instead of testing every limb.
-    """
-    segments = []
-    for i, q in enumerate(basis):
-        lazy = supports_shoup(q)
-        if segments and segments[-1][2] == lazy:
-            segments[-1][1] = i + 1
-        else:
-            segments.append([i, i + 1, lazy])
-    return tuple((lo, hi, lazy) for lo, hi, lazy in segments)
-
-
 def shoup_precompute(s, q):
     """Shoup dual ``floor(s · 2^32 / q)`` of residues ``s ∈ [0, q)``.
 
     Scalar ints return a Python int; arrays return ``uint64`` (``q`` may
     be an ``(L, 1)`` modulus column broadcast against an ``(L, N)``
-    residue matrix).  Valid for any ``q < 2^31`` — duals of strict-path
-    limbs are computable (``s << 32 < 2^63``), merely unused.
+    residue matrix).  Valid for any ``q < 2^31`` (``s << 32 < 2^63``).
     """
     if isinstance(s, (int, np.integer)):
         return (int(s) << SHOUP_SHIFT) // int(q)
@@ -359,7 +330,7 @@ def shoup_precompute(s, q):
 def shoup_mul(x, s, s_shoup, q) -> np.ndarray:
     """Lazy product ``x·s mod q`` in ``[0, 2q)`` (pure; int64 result).
 
-    Requires ``q < 2^30``, ``s ∈ [0, q)``, ``x < 2^32``.
+    Requires ``q < 2^31``, ``s ∈ [0, q)``, ``x < 2^32``.
     """
     x = np.asarray(x).astype(np.uint64)
     s = np.asarray(s).astype(np.uint64)
@@ -418,35 +389,21 @@ def reduce_final_into(a, q, mask: np.ndarray) -> np.ndarray:
     return a
 
 
-def shoup_mod_mul_into(x, s, s_shoup, q_col, basis: tuple,
-                       out: np.ndarray) -> np.ndarray:
-    """``out[:] = (x * s) mod q`` per limb row, Shoup where possible.
+def shoup_mod_mul_into(x, s, s_shoup, q_col, out: np.ndarray) -> np.ndarray:
+    """``out[:] = (x * s) mod q`` per limb row, divide-free.
 
-    ``x``/``s`` are ``(L, N)`` int64 residue matrices over ``basis``
-    with ``s_shoup`` the precomputed ``uint64`` dual of ``s``; rows of
-    31-bit primes fall back to the exact ``%``.  Output is canonical
-    ``[0, q)`` — bit-identical to :func:`mod_mul_into`.
+    ``x``/``s`` are ``(L, N)`` int64 residue matrices over the basis of
+    modulus column ``q_col``, with ``s_shoup`` the precomputed
+    ``uint64`` dual of ``s``.  Canonical inputs (``x < q < 2^31``) keep
+    one Shoup pass valid for every row.  Output is canonical ``[0, q)``
+    — bit-identical to :func:`mod_mul_into`.
     """
-    segments = shoup_segments(basis)
-    if instrument.get_tracer() is not None:
-        lazy_rows = sum(hi - lo for lo, hi, lazy in segments if lazy)
-        if lazy_rows:
-            instrument.count("ckks.modmath.shoup", lazy_rows)
-        if len(basis) - lazy_rows:
-            instrument.count("ckks.modmath.strict_fallback",
-                             len(basis) - lazy_rows)
-    for lo, hi, lazy in segments:
-        if not lazy:
-            mod_mul_into(x[lo:hi], s[lo:hi], q_col[lo:hi], out[lo:hi])
-            continue
-        xu = x[lo:hi].view(np.uint64)
-        ou = out[lo:hi].view(np.uint64)
-        qu = q_col[lo:hi].view(np.uint64)
-        scratch = np.empty(ou.shape, dtype=np.uint64)
-        mask = np.empty(ou.shape, dtype=bool)
-        shoup_mul_into(xu, s[lo:hi].view(np.uint64), s_shoup[lo:hi],
-                       qu, out=ou, hi=scratch)
-        reduce_final_into(ou, qu, mask)
+    instrument.count("ckks.modmath.shoup", len(q_col))
+    ou = out.view(np.uint64)
+    qu = q_col.view(np.uint64)
+    shoup_mul_into(x.view(np.uint64), s.view(np.uint64), s_shoup, qu,
+                   out=ou, hi=np.empty(ou.shape, dtype=np.uint64))
+    reduce_final_into(ou, qu, np.empty(ou.shape, dtype=bool))
     return out
 
 

@@ -12,13 +12,13 @@ Two butterfly kernels exist:
   with an exact ``%``.  It is deliberately kept divide-based: the
   property tests use it as the oracle for the fast path.
 * :class:`BatchNttContext` — the hot path: all RNS limbs at once on
-  stacked ``(L, N)`` twiddle planes.  Limbs whose prime is below
-  ``2^30`` run Shoup/Harvey lazy-reduction butterflies (mul/shift/sub,
-  no hardware divide, values lazily in ``[0, 4q)``) and fold back to
-  canonical ``[0, q)`` once after the last pass; limbs of wider primes
-  (the 31-bit base prime) dispatch to the exact ``%`` butterfly
-  row-run by row-run, so mixed bases stay correct — and the output is
-  always bit-identical to the per-limb reference.
+  stacked ``(L, N)`` twiddle planes.  Every limb (any prime below
+  ``2^31``, the 31-bit base prime included) runs Shoup/Harvey
+  lazy-reduction butterflies (mul/shift/sub, no hardware divide, values
+  lazily in ``[0, 4q)``) and folds back to canonical ``[0, q)`` once
+  after the last pass, so the output is bit-identical to the per-limb
+  reference.  Under :func:`repro.ckks.modmath.lazy_scope` ``(False)``
+  the same rows run the exact ``%`` butterflies instead.
 
 Twiddle tables are built once per ``(degree, q)`` in a module-level LRU
 (:func:`_twiddle_tables`), so fixtures and tests constructing many
@@ -48,6 +48,11 @@ _twiddle_cache: OrderedDict = OrderedDict()
 _twiddle_lock = threading.Lock()
 
 _SHIFT = np.uint64(modmath.SHOUP_SHIFT)
+
+#: Smallest prime whose lazy ``[0, 4q)`` operand can reach ``2^32``, the
+#: Shoup multiplicand bound.  Row blocks holding such a prime fold that
+#: operand to ``[0, 2q)`` before each twiddle multiply.
+_WIDE_PRIME = 1 << (modmath.SHOUP_SHIFT - 2)
 
 
 @lru_cache(maxsize=64)
@@ -153,10 +158,11 @@ def _owned_copy(array) -> np.ndarray:
     return np.array(array, dtype=np.int64, order="C", copy=True)
 
 
-def _clip_segments(segments: tuple, lo: int, hi: int) -> tuple:
-    """Dispatch runs intersected with row block ``[lo, hi)``, rebased."""
-    return tuple((max(slo, lo) - lo, min(shi, hi) - lo, lazy)
-                 for slo, shi, lazy in segments if slo < hi and shi > lo)
+def _check_prime_width(q: int) -> None:
+    """Reject primes the lazy ``[0, 2q)`` Shoup bound cannot hold for."""
+    if q >= 1 << modmath.MAX_PRIME_BITS:
+        raise ParameterError(
+            f"prime {q} is not below 2^{modmath.MAX_PRIME_BITS}")
 
 
 class NttContext:
@@ -173,6 +179,7 @@ class NttContext:
     def __init__(self, degree: int, q: int):
         if degree & (degree - 1) != 0:
             raise ParameterError("ring degree must be a power of two")
+        _check_prime_width(q)
         if (q - 1) % (2 * degree) != 0:
             raise ParameterError(f"prime {q} is not NTT-friendly for N={degree}")
         self.degree = degree
@@ -231,7 +238,7 @@ class NttContext:
 # ---------------------------------------------------------------------------
 # Butterfly op builders.
 #
-# The batched transform compiles each (shape, row block, dispatch) into
+# The batched transform compiles each (shape, row block, path) into
 # a flat list of zero-argument closures over pre-sliced views — the hot
 # loop then only dispatches ufuncs, with no per-pass reshaping/slicing.
 #
@@ -248,18 +255,26 @@ class NttContext:
 
 
 def _forward_lazy_ops(x, y, xs, ys, t1, s_p, ssh_p, q, two_q,
-                      xs_v, ys_v, t1_v) -> list:
+                      xs_v, ys_v, t1_v, wide) -> list:
     """Harvey CT butterfly: entry ``x, y ∈ [0, 4q)``, exit ``∈ [0, 4q)``.
 
     ``x`` is folded to ``[0, 2q)``, ``v = y·s`` Shoup-reduced to
-    ``[0, 2q)`` (valid because ``y < 4q ≤ 2^32``), then ``x' = x + v``
-    and ``y' = x − v + 2q``.
+    ``[0, 2q)`` (valid for ``y < 2^32``), then ``x' = x + v`` and
+    ``y' = x − v + 2q``.  ``y < 4q ≤ 2^32`` holds for primes below
+    ``2^30``; for ``wide`` blocks ``y`` is folded to ``[0, 2q)`` first.
     """
-    return [
+    ops = [
         lambda: np.copyto(xs_v, x),
         lambda: np.copyto(ys_v, y),
         lambda: np.subtract(xs, two_q, out=t1),
         lambda: np.minimum(xs, t1, out=xs),
+    ]
+    if wide:
+        ops += [
+            lambda: np.subtract(ys, two_q, out=t1),
+            lambda: np.minimum(ys, t1, out=ys),
+        ]
+    return ops + [
         lambda: np.multiply(ys, ssh_p, out=t1),
         lambda: np.right_shift(t1, _SHIFT, out=t1),
         lambda: np.multiply(t1, q, out=t1),
@@ -274,13 +289,15 @@ def _forward_lazy_ops(x, y, xs, ys, t1, s_p, ssh_p, q, two_q,
 
 
 def _inverse_lazy_ops(x, y, xs, ys, t1, t2, s_p, ssh_p, q, two_q,
-                      xs_v, ys_v) -> list:
+                      xs_v, ys_v, wide) -> list:
     """Harvey GS butterfly: entry ``x, y ∈ [0, 2q)``, exit ``∈ [0, 2q)``.
 
     ``x' = x + y`` folded once; ``y' = (x − y + 2q)·s`` Shoup-reduced
-    (valid because ``x − y + 2q < 4q ≤ 2^32``).
+    (valid for a multiplicand below ``2^32``: ``x − y + 2q < 4q ≤
+    2^32`` for primes below ``2^30``; ``wide`` blocks fold it to
+    ``[0, 2q)`` first).
     """
-    return [
+    ops = [
         lambda: np.copyto(xs_v, x),
         lambda: np.copyto(ys_v, y),
         lambda: np.subtract(xs, ys, out=t1),
@@ -289,6 +306,13 @@ def _inverse_lazy_ops(x, y, xs, ys, t1, t2, s_p, ssh_p, q, two_q,
         lambda: np.subtract(xs, two_q, out=t2),
         lambda: np.minimum(xs, t2, out=xs),
         lambda: np.copyto(x, xs_v),
+    ]
+    if wide:
+        ops += [
+            lambda: np.subtract(t1, two_q, out=t2),
+            lambda: np.minimum(t1, t2, out=t1),
+        ]
+    return ops + [
         lambda: np.multiply(t1, ssh_p, out=t2),
         lambda: np.right_shift(t2, _SHIFT, out=t2),
         lambda: np.multiply(t2, q, out=t2),
@@ -359,18 +383,20 @@ class BatchNttContext:
     ``(L, 1)`` column, so *one* vectorized butterfly pass transforms all
     limbs of a polynomial — replacing the Python loop over primes.
 
-    Limb rows whose prime is below ``2^30`` use the Shoup/Harvey
-    lazy-reduction butterfly: the twiddle multiply is the precomputed
-    quotient pipeline ``hi = (x·s') >> 32; r = x·s − hi·q`` (no
-    division), values stay lazily above ``q`` across passes, and a
-    single fold after the last pass replaces the per-butterfly ``%``.
-    Wider primes dispatch per contiguous row run to the exact ``%``
-    butterfly (:func:`modmath.shoup_segments`).  Both paths land on the
-    canonical ``[0, q)`` residues, so results are bit-identical to
-    running :class:`NttContext` limb by limb for every mixed basis and
-    any thread count (the property tests assert this).
+    Every limb row uses the Shoup/Harvey lazy-reduction butterfly: the
+    twiddle multiply is the precomputed quotient pipeline ``hi = (x·s')
+    >> 32; r = x·s − hi·q`` (no division), values stay lazily above
+    ``q`` across passes, and a single fold after the last pass replaces
+    the per-butterfly ``%``.  Row blocks holding a prime of ``2^30`` or
+    more (the 31-bit base prime) add one fold of the multiplicand per
+    butterfly so it stays below ``2^32``; narrower blocks skip it.
+    Under ``modmath.lazy_scope(False)`` every row runs the exact ``%``
+    butterfly instead.  Both paths land on the canonical ``[0, q)``
+    residues, so results are bit-identical to running
+    :class:`NttContext` limb by limb for every basis and any thread
+    count (the property tests assert this).
 
-    Each distinct (transform, shape, row block, dispatch) combination is
+    Each distinct (transform, shape, row block, path) combination is
     compiled once into an execution *plan* — a work buffer plus a flat
     list of ufunc closures over pre-sliced views — so the per-call hot
     loop does no reshaping, slicing, or Python-level bookkeeping.
@@ -383,6 +409,8 @@ class BatchNttContext:
         basis = tuple(basis)
         if not basis:
             raise ParameterError("batched NTT needs at least one prime")
+        for q in basis:
+            _check_prime_width(q)
         if contexts is None:
             contexts = [NttContext(degree, q) for q in basis]
         self.degree = degree
@@ -399,22 +427,19 @@ class BatchNttContext:
         self.n_inv_shoup_col = np.array(
             [c.n_inv_shoup for c in contexts],
             dtype=np.uint64).reshape(limbs, 1)
-        #: Contiguous (lo, hi, lazy) dispatch runs of the limb rows.
-        self.segments = modmath.shoup_segments(basis)
         self._scratch: dict = {}
         self._scratch_lock = threading.Lock()
         self._plans: OrderedDict = OrderedDict()
 
     def _buffers(self, shape: tuple):
-        """(u, v, mask, hi) scratch of ``shape``, reused across calls.
+        """(u, v, mask) scratch of ``shape``, reused across calls.
 
         Keyed per **thread** as well as per shape: the threaded path
         runs one butterfly block per pool thread, and scratch slabs
         are written concurrently — a shared slab would race.  Pool
         threads are long-lived, so each thread's slabs are reused
-        across calls just like the serial path's.  ``hi`` holds the
-        Shoup high-product; the lazy kernels use ``uint64`` views of
-        the int64 slabs.
+        across calls just like the serial path's.  The strict ``%``
+        butterflies stage their operands here.
         """
         key = (threading.get_ident(), shape)
         with self._scratch_lock:
@@ -426,13 +451,14 @@ class BatchNttContext:
         if buffers is None:
             buffers = (np.empty(shape, dtype=np.int64),
                        np.empty(shape, dtype=np.int64),
-                       np.empty(shape, dtype=bool),
-                       np.empty(shape, dtype=np.uint64))
+                       np.empty(shape, dtype=bool))
             with self._scratch_lock:
                 self._scratch[key] = buffers
         return buffers
 
-    def _prepare(self, array: np.ndarray, kind: str) -> np.ndarray:
+    def _prepare(self, array: np.ndarray, kind: str) -> tuple:
+        """``(owned copy, lazy)`` of one call's input, with the call,
+        limb-row and per-path row counters bumped once."""
         limbs = len(self.basis)
         if array.ndim < 2 or array.shape[-1] != self.degree:
             raise ParameterError("last axis must equal the ring degree")
@@ -446,33 +472,20 @@ class BatchNttContext:
         else:
             planes = int(np.prod(array.shape[:-2], dtype=np.int64) or 1)
         instrument.count("ckks.batch_ntt.limbs", limbs * planes)
-        return _owned_copy(array)
+        lazy = modmath.lazy_enabled()
+        instrument.count("ckks.modmath.shoup" if lazy
+                         else "ckks.modmath.strict_fallback", limbs * planes)
+        return _owned_copy(array), lazy
 
-    def _dispatch_segments(self, a: np.ndarray) -> tuple:
-        """The active (lo, hi, lazy) runs, honouring the global lazy
-        switch, with the per-path limb counters bumped once per call."""
-        limbs = len(self.basis)
-        segments = (self.segments if modmath.lazy_enabled()
-                    else ((0, limbs, False),))
-        if instrument.get_tracer() is not None:
-            planes = int(np.prod(a.shape[:-2], dtype=np.int64) or 1)
-            lazy_rows = sum(hi - lo for lo, hi, lazy in segments if lazy)
-            if lazy_rows:
-                instrument.count("ckks.modmath.shoup", lazy_rows * planes)
-            if limbs - lazy_rows:
-                instrument.count("ckks.modmath.strict_fallback",
-                                 (limbs - lazy_rows) * planes)
-        return segments
-
-    def _plan(self, kind: str, shape: tuple, rlo: int, segments: tuple,
+    def _plan(self, kind: str, shape: tuple, rlo: int, lazy: bool,
               slabs: tuple):
-        key = (threading.get_ident(), kind, shape, rlo, segments)
+        key = (threading.get_ident(), kind, shape, rlo, lazy)
         with self._scratch_lock:
             plan = self._plans.get(key)
             if plan is not None:
                 self._plans.move_to_end(key)
         if plan is None:
-            plan = self._build_plan(kind, shape, rlo, segments, slabs)
+            plan = self._build_plan(kind, shape, rlo, lazy, slabs)
             with self._scratch_lock:
                 self._plans[key] = plan
                 self._plans.move_to_end(key)
@@ -480,34 +493,20 @@ class BatchNttContext:
                     self._plans.popitem(last=False)
         return plan
 
-    def _build_plan(self, kind: str, shape: tuple, rlo: int,
-                    segments: tuple, slabs: tuple):
+    def _build_plan(self, kind: str, shape: tuple, rlo: int, lazy: bool,
+                    slabs: tuple):
         """Compile one transform into (work buffer, closure list).
 
         ``shape`` is the row block's ``(..., Lb, N)`` shape, ``rlo`` its
-        first absolute limb row, ``segments`` its rebased dispatch runs,
-        and ``slabs`` the :meth:`_buffers` scratch for its shape — the
-        same objects on every later call (``_buffers`` never replaces an
+        first absolute limb row, ``lazy`` the butterfly path, and
+        ``slabs`` the :meth:`_buffers` scratch for its shape — the same
+        objects on every later call (``_buffers`` never replaces an
         entry), so the compiled views stay valid.
         """
         n = self.degree
-        half = n // 2
-        limbs = shape[-2]
-        lead = shape[:-2]
-        rows_all = slice(rlo, rlo + limbs)
         w = np.empty(shape, dtype=np.int64)
-        wu = w.view(np.uint64)
-        u_buf, v_buf, mask_buf, hi_buf = slabs
-        scr = np.empty(shape, dtype=np.uint64)
-        q3 = self.q_col[rows_all].reshape(limbs, 1, 1)
-        q_rows = self.q_col[rows_all]
-        q_rows_u = q_rows.view(np.uint64)
-        two_q_rows_u = self.two_q_col[rows_all].view(np.uint64)
+        rows = slice(rlo, rlo + shape[-2])
         forward = kind == "forward"
-        psis = (self.psis if forward else self.inv_psis)[rows_all]
-        psis_u = psis.view(np.uint64)
-        shoup = (self.psis_shoup if forward
-                 else self.inv_psis_shoup)[rows_all]
         stages = []
         if forward:
             t, m = n, 1
@@ -521,84 +520,93 @@ class BatchNttContext:
                 m //= 2
                 stages.append((m, t))
                 t *= 2
-        # Contiguous uint64 staging per lazy segment, shared by all
-        # passes of the plan (each pass moves seg·N/2 lane values).
-        stage: dict = {}
-        for lo, hi, lazy in segments:
-            if lazy:
-                s_shape = lead + (hi - lo, half)
-                stage[lo] = tuple(np.empty(s_shape, dtype=np.uint64)
-                                  for _ in range(4))
+        if lazy:
+            return w, self._lazy_ops(w, forward, rows, stages)
+        return w, self._strict_ops(w, forward, rows, stages, slabs)
+
+    def _lazy_ops(self, w: np.ndarray, forward: bool, rows: slice,
+                  stages: list) -> list:
+        """Harvey butterfly passes plus the canonicalizing epilogue."""
+        wu = w.view(np.uint64)
+        lead, limbs = w.shape[:-2], w.shape[-2]
+        q_u = self.q_col[rows].view(np.uint64)
+        two_q_u = self.two_q_col[rows].view(np.uint64)
+        psis_u = (self.psis if forward else self.inv_psis)[rows].view(
+            np.uint64)
+        shoup = (self.psis_shoup if forward else self.inv_psis_shoup)[rows]
+        wide = max(self.basis[rows]) >= _WIDE_PRIME
+        # Contiguous uint64 staging shared by all passes of the plan
+        # (each pass moves limbs·N/2 lane values).
+        xs, ys, t1, t2 = (np.empty(lead + (limbs, self.degree // 2),
+                                   dtype=np.uint64) for _ in range(4))
+        ops: list = []
+        for m, t in stages:
+            bu = wu.reshape(lead + (limbs, m, 2, t))
+            lane = lead + (limbs, m, t)
+            # One twiddle per lane: each of the m twiddles repeats
+            # across its t-element pair run.
+            common = dict(
+                x=bu[..., 0, :], y=bu[..., 1, :], xs=xs, ys=ys, t1=t1,
+                s_p=np.repeat(psis_u[:, m:2 * m], t, axis=1),
+                ssh_p=np.repeat(shoup[:, m:2 * m], t, axis=1),
+                q=q_u, two_q=two_q_u, xs_v=xs.reshape(lane),
+                ys_v=ys.reshape(lane), wide=wide)
+            if forward:
+                ops += _forward_lazy_ops(t1_v=t1.reshape(lane), **common)
+            else:
+                ops += _inverse_lazy_ops(t2=t2, **common)
+        # Epilogue: fold to canonical [0, q); the inverse additionally
+        # scales every row by N^{-1}.
+        scr = np.empty(w.shape, dtype=np.uint64)
+        if forward:
+            return ops + _forward_fold_ops(wu, scr, q_u, two_q_u)
+        return ops + _ninv_lazy_ops(
+            wu, scr, self.n_inv_col[rows].view(np.uint64),
+            self.n_inv_shoup_col[rows], q_u)
+
+    def _strict_ops(self, w: np.ndarray, forward: bool, rows: slice,
+                    stages: list, slabs: tuple) -> list:
+        """Exact-``%`` butterfly passes (the ``lazy_scope(False)`` arm)."""
+        lead, limbs = w.shape[:-2], w.shape[-2]
+        u_buf, v_buf, mask_buf = slabs
+        psis = (self.psis if forward else self.inv_psis)[rows]
+        q3 = self.q_col[rows].reshape(limbs, 1, 1)
+        build = _strict_ct_ops if forward else _strict_gs_ops
         ops: list = []
         for m, t in stages:
             b = w.reshape(lead + (limbs, m, 2, t))
-            bu = wu.reshape(lead + (limbs, m, 2, t))
             s3 = lead + (limbs, m, t)
-            u3 = u_buf.reshape(s3)
-            v3 = v_buf.reshape(s3)
-            m3 = mask_buf.reshape(s3)
-            for lo, hi, lazy in segments:
-                seg = hi - lo
-                lane = lead + (seg, m, t)
-                if lazy:
-                    xs, ys, t1, t2 = stage[lo]
-                    # One twiddle per lane: each of the m twiddles
-                    # repeats across its t-element pair run.
-                    s_p = np.repeat(psis_u[lo:hi, m:2 * m], t, axis=1)
-                    ssh_p = np.repeat(shoup[lo:hi, m:2 * m], t, axis=1)
-                    common = dict(
-                        x=bu[..., lo:hi, :, 0, :],
-                        y=bu[..., lo:hi, :, 1, :],
-                        xs=xs, ys=ys, t1=t1,
-                        s_p=s_p, ssh_p=ssh_p,
-                        q=q_rows_u[lo:hi], two_q=two_q_rows_u[lo:hi],
-                        xs_v=xs.reshape(lane), ys_v=ys.reshape(lane))
-                    if forward:
-                        ops += _forward_lazy_ops(
-                            t1_v=t1.reshape(lane), **common)
-                    else:
-                        ops += _inverse_lazy_ops(t2=t2, **common)
-                else:
-                    build = _strict_ct_ops if forward else _strict_gs_ops
-                    ops += build(
-                        x=b[..., lo:hi, :, 0, :],
-                        y=b[..., lo:hi, :, 1, :],
-                        s=psis[lo:hi, m:2 * m].reshape(seg, m, 1),
-                        q=q3[lo:hi],
-                        u=u3[..., lo:hi, :, :],
-                        v=v3[..., lo:hi, :, :],
-                        mask=m3[..., lo:hi, :, :])
-        # Epilogue: lazy rows fold to canonical [0, q); the inverse
-        # additionally scales every row by N^{-1}.
-        for lo, hi, lazy in segments:
-            if forward:
-                if lazy:
-                    ops += _forward_fold_ops(
-                        wu[..., lo:hi, :], scr[..., lo:hi, :],
-                        q_rows_u[lo:hi], two_q_rows_u[lo:hi])
-            elif lazy:
-                ops += _ninv_lazy_ops(
-                    wu[..., lo:hi, :], scr[..., lo:hi, :],
-                    self.n_inv_col[rows_all].view(np.uint64)[lo:hi],
-                    self.n_inv_shoup_col[rows_all][lo:hi],
-                    q_rows_u[lo:hi])
-            else:
-                ops += _ninv_strict_ops(
-                    w[..., lo:hi, :], self.n_inv_col[rows_all][lo:hi],
-                    q_rows[lo:hi])
-        return w, ops
+            ops += build(x=b[..., 0, :], y=b[..., 1, :],
+                         s=psis[:, m:2 * m].reshape(limbs, m, 1), q=q3,
+                         u=u_buf.reshape(s3), v=v_buf.reshape(s3),
+                         mask=mask_buf.reshape(s3))
+        if not forward:
+            ops += _ninv_strict_ops(w, self.n_inv_col[rows],
+                                    self.q_col[rows])
+        return ops
 
     def _run(self, a: np.ndarray, kind: str, rlo: int, rhi: int,
-             segments: tuple) -> None:
+             lazy: bool) -> None:
         """Transform limb rows ``[rlo, rhi)`` of ``a`` in place."""
         rows = a[..., rlo:rhi, :]
         slabs = self._buffers(rows.shape[:-2] + (rhi - rlo,
                                                  self.degree // 2))
-        w, ops = self._plan(kind, rows.shape, rlo, segments, slabs)
+        w, ops = self._plan(kind, rows.shape, rlo, lazy, slabs)
         np.copyto(w, rows)
         for op in ops:
             op()
         np.copyto(rows, w)
+
+    def _transform(self, values: np.ndarray, kind: str) -> np.ndarray:
+        a, lazy = self._prepare(values, kind)
+        if a.ndim == 2:
+            def work(lo: int, hi: int) -> None:
+                self._run(a, kind, lo, hi, lazy)
+            if limb_threads.run_blocks(len(self.basis), work) > 1:
+                instrument.count("ckks.batch_ntt.threaded")
+        else:
+            self._run(a, kind, 0, len(self.basis), lazy)
+        return a
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Negacyclic NTT of every limb plane (axes ``(..., L, N)``).
@@ -609,31 +617,11 @@ class BatchNttContext:
         slices are not limb planes, and middle-axis slices are not
         contiguous views).
         """
-        a = self._prepare(coeffs, "forward")
-        segments = self._dispatch_segments(a)
-        if a.ndim == 2:
-            def work(lo: int, hi: int) -> None:
-                self._run(a, "forward", lo, hi,
-                          _clip_segments(segments, lo, hi))
-            if limb_threads.run_blocks(len(self.basis), work) > 1:
-                instrument.count("ckks.batch_ntt.threaded")
-        else:
-            self._run(a, "forward", 0, len(self.basis), segments)
-        return a
+        return self._transform(coeffs, "forward")
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
         """Inverse negacyclic NTT of every limb plane."""
-        a = self._prepare(values, "inverse")
-        segments = self._dispatch_segments(a)
-        if a.ndim == 2:
-            def work(lo: int, hi: int) -> None:
-                self._run(a, "inverse", lo, hi,
-                          _clip_segments(segments, lo, hi))
-            if limb_threads.run_blocks(len(self.basis), work) > 1:
-                instrument.count("ckks.batch_ntt.threaded")
-        else:
-            self._run(a, "inverse", 0, len(self.basis), segments)
-        return a
+        return self._transform(values, "inverse")
 
 
 def negacyclic_convolution(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:

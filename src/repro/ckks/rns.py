@@ -205,9 +205,8 @@ class RnsPolynomial:
         q_col = modulus_column(self.basis)
         out = np.empty_like(self.coeffs)
         # A precomputed Shoup dual on either operand turns the per-limb
-        # ``%`` into the divide-free mul/shift/sub pipeline (lazy rows
-        # only; wide primes still take the exact path) — bit-identical
-        # either way.
+        # ``%`` into the divide-free mul/shift/sub pipeline on every row
+        # (any prime below 2^31) — bit-identical either way.
         const, plain = None, None
         if modmath.lazy_enabled():
             if other.shoup is not None:
@@ -216,7 +215,7 @@ class RnsPolynomial:
                 const, plain = self, other
         if const is not None:
             modmath.shoup_mod_mul_into(plain.coeffs, const.coeffs,
-                                       const.shoup, q_col, self.basis, out)
+                                       const.shoup, q_col, out)
         else:
             modmath.mod_mul_into(self.coeffs, other.coeffs, q_col, out)
         if _fault_guard.ACTIVE is not None:

@@ -29,7 +29,7 @@ class BaselineRegression:
 
     metric: str
     baseline: float
-    current: float
+    current: float | None   # None: the run did not report the metric
     tolerance: float
 
     @property
@@ -37,6 +37,9 @@ class BaselineRegression:
         return self.current / self.baseline if self.baseline else float("inf")
 
     def describe(self) -> str:
+        if self.current is None:
+            return (f"{self.metric}: baseline {self.baseline:.6g} -> "
+                    f"missing from this run")
         return (f"{self.metric}: baseline {self.baseline:.6g} -> "
                 f"current {self.current:.6g} ({self.ratio:+.2%} of baseline, "
                 f"tolerance ±{self.tolerance:.0%})".replace("+", ""))
@@ -80,14 +83,17 @@ def check_baseline_metrics(baseline: dict, current: dict,
 
     A metric regresses when it deviates from the baseline by more than
     ``tolerance`` *in either direction* — an unexplained speedup is as
-    suspicious as a slowdown in a deterministic model.
+    suspicious as a slowdown in a deterministic model — or when the
+    current run no longer reports it.
     """
     regressions = []
     for metric, reference in baseline.get("metrics", {}).items():
-        value = current.get(metric)
-        if value is None or reference is None:
+        if reference is None:
             continue
-        if reference == 0:
+        value = current.get(metric)
+        if value is None:
+            deviation = float("inf")
+        elif reference == 0:
             deviation = 0.0 if value == 0 else float("inf")
         else:
             deviation = abs(value - reference) / abs(reference)

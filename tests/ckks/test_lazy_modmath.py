@@ -3,8 +3,9 @@
 The lazy numeric layer (``repro.ckks.modmath`` Shoup kernels and the
 Harvey butterflies inside ``BatchNttContext``) must be *bit-identical*
 to the divide-based reference for every limb — including the 31-bit
-primes that dispatch to the strict fallback — because all pinned
-digests and baseline counters assume canonical ``[0, q)`` residues.
+primes, whose butterflies fold the Shoup multiplicand once more —
+because all pinned digests and baseline counters assume canonical
+``[0, q)`` residues.
 These properties pin the kernels against big-int arithmetic and the
 batched NTT against the per-limb ``NttContext`` oracle across random
 NTT-friendly primes spanning 20–31 bits and degrees 16–256.
@@ -18,18 +19,32 @@ from hypothesis import strategies as st
 from repro.ckks import instrument, modmath
 from repro.ckks.ntt import BatchNttContext, NttContext
 from repro.ckks.rns import RnsPolynomial, modulus_column
+from repro.errors import ParameterError
 from repro.obs.tracer import Tracer
 
 DEGREES = (16, 32, 64, 128, 256)
 
-#: Spans the dispatch boundary: 20–30-bit primes stay below 2^30 and
-#: take the lazy Shoup path; 31-bit primes are ≥ 2^30 and fall back to
-#: the exact ``%`` kernels.
+#: Spans the fold boundary: 20–30-bit primes are below 2^30, so their
+#: ``[0, 4q)`` butterfly operands already fit the 2^32 Shoup bound;
+#: 31-bit primes are ≥ 2^30 and their row blocks fold that operand to
+#: ``[0, 2q)`` before each twiddle multiply.
 PRIME_BITS = (20, 22, 24, 26, 28, 29, 30, 31)
 
 
 def ntt_prime(degree: int, bits: int) -> int:
     return modmath.generate_primes(1, degree, bits=bits)[0]
+
+
+def traced(fn):
+    """Counters recorded while ``fn()`` runs under a fresh tracer."""
+    tracer = Tracer()
+    old = instrument.get_tracer()
+    instrument.set_tracer(tracer)
+    try:
+        fn()
+    finally:
+        instrument.set_tracer(old)
+    return tracer.counters
 
 
 def random_limbs(basis, degree, rng, lead=()):
@@ -57,16 +72,17 @@ def reference_inverse(basis, values):
 
 
 class TestShoupKernels:
-    @given(st.sampled_from((20, 22, 24, 26, 28, 29)), st.integers(0, 2**32))
+    @given(st.sampled_from((20, 22, 24, 26, 28, 29, 30, 31)),
+           st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
     def test_shoup_mul_matches_bigint_oracle(self, bits, seed):
         """Lazy product lands in [0, 2q) and is ≡ x·s (mod q)."""
         q = ntt_prime(64, bits)
-        assert modmath.supports_shoup(q)
         rng = np.random.default_rng(seed)
-        # x may be any lazy intermediate in [0, 4q) — the widest range
-        # a Harvey butterfly ever feeds a Shoup multiply.
-        x = rng.integers(0, 4 * q, size=64, dtype=np.int64)
+        # x may be any lazy intermediate in [0, 4q) below 2^32 — the
+        # widest range a Harvey butterfly ever feeds a Shoup multiply
+        # (31-bit rows fold theirs below 2q < 2^32 first).
+        x = rng.integers(0, min(4 * q, 2**32), size=64, dtype=np.int64)
         s = int(rng.integers(0, q))
         s_shoup = modmath.shoup_precompute(s, q)
         out = modmath.shoup_mul(x, s, s_shoup, q)
@@ -114,41 +130,46 @@ class TestShoupKernels:
             modmath.reduce_final_into(a.copy(), q, mask), expected)
 
 
-class TestDispatchBoundary:
-    def test_supports_shoup_is_strict_below_2_30(self):
-        assert modmath.supports_shoup(modmath.SHOUP_MAX_PRIME - 1)
-        assert not modmath.supports_shoup(modmath.SHOUP_MAX_PRIME)
-        assert not modmath.supports_shoup(modmath.SHOUP_MAX_PRIME + 1)
-
-    def test_segments_partition_mixed_basis(self):
-        basis = tuple(ntt_prime(64, b) for b in (20, 24, 31, 30, 28))
-        segments = modmath.shoup_segments(basis)
-        covered = []
-        for lo, hi, lazy in segments:
-            for i in range(lo, hi):
-                covered.append(i)
-                assert modmath.supports_shoup(basis[i]) == lazy
-        assert covered == list(range(len(basis)))
-
-    def test_segments_single_lazy_run_for_small_primes(self):
-        basis = tuple(ntt_prime(64, 28) for _ in range(3))
-        assert modmath.shoup_segments(basis) == ((0, 3, True),)
+class TestWidePrimes:
+    def test_primes_from_2_31_are_rejected(self):
+        q = 2147483713            # 2^31 + 65, ≡ 1 mod 32
+        assert modmath.is_prime(q) and (q - 1) % 32 == 0
+        with pytest.raises(ParameterError, match="below 2"):
+            NttContext(16, q)
+        with pytest.raises(ParameterError, match="below 2"):
+            BatchNttContext(16, (ntt_prime(16, 28), q))
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=10, deadline=None)
-    def test_strict_fallback_rows_stay_exact(self, seed):
-        """31-bit rows (≥ 2^30) go through the verbatim % path."""
+    def test_31_bit_rows_take_the_shoup_path_exactly(self, seed):
         q = ntt_prime(64, 31)
-        assert not modmath.supports_shoup(q)
         basis = (ntt_prime(64, 28), q)
         rng = np.random.default_rng(seed)
         x = random_limbs(basis, 64, rng)
         s = random_limbs(basis, 64, rng)
+        x[1, :3] = s[1, :3] = q - 1
         q_col = modulus_column(basis)
         dual = modmath.shoup_precompute(s, q_col)
         out = np.empty_like(x)
-        modmath.shoup_mod_mul_into(x, s, dual, q_col, basis, out)
+        counters = traced(lambda: modmath.shoup_mod_mul_into(
+            x, s, dual, q_col, out))
         assert np.array_equal(out, modmath.mod_mul(x, s, q_col))
+        assert counters["ckks.modmath.shoup"] == 2
+        assert "ckks.modmath.strict_fallback" not in counters
+
+    @pytest.mark.parametrize("degree", (16, 128, 256))
+    @pytest.mark.parametrize("fill", ("zero", "one", "q-1"))
+    def test_extreme_values_match_oracle(self, degree, fill):
+        """Constant rows of 0, 1 and q−1 on a (31-bit, 28-bit) basis,
+        the 31-bit prime being the largest NTT prime below 2^31."""
+        basis = (ntt_prime(degree, 31), ntt_prime(degree, 28))
+        value = {"zero": lambda q: 0, "one": lambda q: 1,
+                 "q-1": lambda q: q - 1}[fill]
+        a = np.stack([np.full(degree, value(q), dtype=np.int64)
+                      for q in basis])
+        ctx = BatchNttContext(degree, basis)
+        assert np.array_equal(ctx.forward(a), reference_forward(basis, a))
+        assert np.array_equal(ctx.inverse(a), reference_inverse(basis, a))
 
 
 class TestShoupModMul:
@@ -162,7 +183,7 @@ class TestShoupModMul:
         q_col = modulus_column(basis)
         dual = modmath.shoup_precompute(s, q_col)
         out = np.empty_like(x)
-        modmath.shoup_mod_mul_into(x, s, dual, q_col, basis, out)
+        modmath.shoup_mod_mul_into(x, s, dual, q_col, out)
         assert np.array_equal(out, modmath.mod_mul(x, s, q_col))
 
     def test_counts_dispatch_per_limb_row(self):
@@ -173,17 +194,11 @@ class TestShoupModMul:
         q_col = modulus_column(basis)
         dual = modmath.shoup_precompute(s, q_col)
         out = np.empty_like(x)
-        tracer = Tracer()
-        old = instrument.get_tracer()
-        instrument.set_tracer(tracer)
-        try:
-            modmath.shoup_mod_mul_into(x, s, dual, q_col, basis, out)
-        finally:
-            instrument.set_tracer(old)
-        # (28, 28, 31, 30): the 30-bit prime is still < 2^30, so only
-        # the 31-bit row takes the fallback.
-        assert tracer.counters["ckks.modmath.shoup"] == 3
-        assert tracer.counters["ckks.modmath.strict_fallback"] == 1
+        counters = traced(lambda: modmath.shoup_mod_mul_into(
+            x, s, dual, q_col, out))
+        # (28, 28, 31, 30): the 31-bit row takes the Shoup path too.
+        assert counters["ckks.modmath.shoup"] == 4
+        assert counters.get("ckks.modmath.strict_fallback", 0) == 0
 
 
 class TestLazyNttBitIdentity:
@@ -228,6 +243,18 @@ class TestLazyNttBitIdentity:
         assert np.array_equal(lazy_fwd, strict_fwd)
         assert np.array_equal(strict_inv, ctx.inverse(lazy_fwd))
         assert np.array_equal(strict_inv, a)
+
+    def test_lazy_scope_off_counts_every_row_as_strict(self):
+        basis = tuple(ntt_prime(64, b) for b in (20, 28, 31))
+        a = random_limbs(basis, 64, np.random.default_rng(1), lead=(2,))
+        ctx = BatchNttContext(64, basis)
+        with modmath.lazy_scope(False):
+            counters = traced(lambda: ctx.inverse(ctx.forward(a)))
+        assert counters["ckks.modmath.strict_fallback"] == 2 * 2 * 3
+        assert "ckks.modmath.shoup" not in counters
+        lazy = traced(lambda: ctx.forward(a))
+        assert lazy["ckks.modmath.shoup"] == 2 * 3
+        assert "ckks.modmath.strict_fallback" not in lazy
 
     def test_lazy_scope_restores_on_exception(self):
         assert modmath.lazy_enabled()

@@ -107,3 +107,14 @@ class TestCheck:
         baseline = load_baseline(tmp_path, "X")
         assert check_baseline_metrics(baseline, _metrics()) == []
         assert check_baseline_metrics(baseline, _metrics(total=1.5)) != []
+
+    def test_metric_missing_from_run_fails(self):
+        baseline = {"metrics": {"a": 1.0, "b": 2.0}}
+        (regression,) = check_baseline_metrics(baseline, {"a": 1.0},
+                                               tolerance=0)
+        assert regression.metric == "b"
+        assert regression.current is None
+        assert regression.describe() == (
+            "b: baseline 2 -> missing from this run")
+        assert check_baseline_metrics(baseline, {"a": 1.0, "b": 2.0},
+                                      tolerance=0) == []

@@ -207,7 +207,8 @@ class TestFunctionalBench:
         assert not [name for name in metrics if name.endswith("_s")]
         # One warm bootstrap, not a mix of repeats and timing loops.
         assert metrics["ckks.batch_ntt.forward"] == 619
-        assert metrics["ckks.modmath.strict_fallback"] == 1285
+        assert metrics["ckks.modmath.shoup"] == 14964
+        assert metrics["ckks.modmath.strict_fallback"] == 0
         assert doc["ntt_lazy_speedup"] == 1.5
         assert doc["precision_max_err"] < 5e-3
         assert main(args + ["--check", "--tolerance", "0"]) == 0
