@@ -779,8 +779,7 @@ def _run_overload(args, workers=None, metrics=None, on_unit=None):
         checkpoint_path=getattr(args, "checkpoint", None),
         resume_path=getattr(args, "resume", None),
         checkpoint_keep=getattr(args, "checkpoint_keep", None),
-        max_units=getattr(args, "max_units", None), on_unit=on_unit,
-        worker_metrics=MetricsRegistry() if workers > 1 else None)
+        max_units=getattr(args, "max_units", None), on_unit=on_unit)
 
 
 def _admission_lines(summary) -> list:
@@ -994,8 +993,7 @@ def _bench_ras(args) -> int:
 
 
 def _serve_runner(args, jobs, policy, checkpoint=None, resume=None,
-                  max_units=None, metrics=None, worker_metrics=None,
-                  on_unit=None):
+                  max_units=None, metrics=None, on_unit=None):
     from repro.parallel import set_threads
     from repro.serving import JobRunner
     set_threads(args.threads)
@@ -1006,7 +1004,7 @@ def _serve_runner(args, jobs, policy, checkpoint=None, resume=None,
                                              None),
                      max_units=max_units, metrics=metrics,
                      on_unit=on_unit, workers=args.workers,
-                     threads=args.threads, worker_metrics=worker_metrics)
+                     threads=args.threads)
 
 
 def _serve_smoke(args) -> int:
@@ -1287,11 +1285,9 @@ def cmd_top(args) -> int:
     on_unit = _UnitPrinter(total)
 
     import time as _time
-    worker_registry = MetricsRegistry() if args.workers > 1 else None
     runner = _serve_runner(args, jobs, policy,
                            checkpoint=args.checkpoint,
                            resume=args.resume, metrics=registry,
-                           worker_metrics=worker_registry,
                            on_unit=on_unit)
     wall_start = _time.perf_counter()
     document = runner.run()
@@ -1336,13 +1332,13 @@ def cmd_top(args) -> int:
                                        f"{wall_s:.2f}s wall"))
     if args.metrics_out:
         export = registry
-        if worker_registry is not None:
+        if runner.worker_metrics is not None:
             # Worker telemetry (wall-clock based) lives in its own
             # registry so the serve families stay digest-identical to
-            # a serial run; fold it in only for this export.
+            # --workers 1; fold it in only for this export.
             export = MetricsRegistry()
             export.merge(registry)
-            export.merge(worker_registry)
+            export.merge(runner.worker_metrics)
         _write_text(args.metrics_out, export.render_prometheus(),
                     "metrics (prom)")
     return _serve_exit(document)
@@ -1731,6 +1727,8 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "tolerance"):
             args.tolerance = _parse_tolerance(args.tolerance)
+        if getattr(args, "workers", 1) < 1:
+            raise ParameterError("worker count must be >= 1")
         return handlers[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)

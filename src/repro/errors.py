@@ -55,11 +55,6 @@ class CheckpointError(SerializationError):
     truncated, or recorded for a different job matrix/policy."""
 
 
-class DeadlineError(ReproError):
-    """Raised when a job exceeds its wall-clock deadline and the
-    caller asked for deadline overruns to be fatal."""
-
-
 class AdmissionError(ReproError):
     """Raised when the admission controller refuses a job at enqueue:
     rate-limited, queue full, or predicted completion past its

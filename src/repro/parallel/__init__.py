@@ -8,8 +8,8 @@ This package is the host-side mirror of that structure, in two tiers:
   and fault-campaign units are seeded, independent, and checkpointable,
   so :class:`WorkerPool` fans them out across worker processes with
   per-worker warm-up and **ordered result commit** — every assembled
-  matrix, checkpoint, and metrics digest is byte-identical to a serial
-  run (``--workers 1`` ≡ the historical behavior).
+  matrix, checkpoint, and metrics digest is byte-identical to
+  ``--workers 1``, which runs the same loop with every unit inline.
 
 * **Tier 2 — thread pool** (:mod:`repro.parallel.threads`): the
   batched NTT butterflies and chunked BConv matmuls release the GIL

@@ -17,8 +17,8 @@ keeping every observable output **byte-identical** to a serial run:
   into its normal retry machinery in-process.
 
 ``workers <= 1`` bypasses the executor entirely and runs the units
-inline, which is what makes ``--workers 1`` ≡ the historical serial
-behavior by construction.
+inline, so a caller keeps one loop for every worker count and
+``--workers 1`` starts no process.
 
 Throughput accounting follows the repo convention of charging costs to
 deterministic clocks: :func:`pool_timeline` replays a greedy

@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.errors import DeadlineError, ParameterError, ReproError
+from repro.errors import ParameterError, ReproError
 from repro.serving.breaker import BreakerBoard
 from repro.serving.checkpoint import Checkpointer, load_checkpoint, \
     matrix_digest
@@ -234,23 +234,17 @@ class _UnitTask:
 
 
 def _pool_attempt(task: _UnitTask):
-    """Worker-side unit execution (the default ``pool_task_fn``).
+    """Worker-side unit execution (the default ``pool_task_fn``): a
+    throwaway runner's :meth:`JobRunner._attempt_task`.
 
-    Runs the *exact* serial retry loop against a throwaway runner
-    whose metrics land in a fresh registry; returns ``(unit doc,
-    registry or None)`` for the parent to commit in matrix order.
     Deterministic: retries are seeded by the unit key and backoff is
-    charged to service time, so a unit produces the same doc in any
-    worker — or inline in the parent after a worker crash.
+    charged to service time, so a unit produces the same ``(doc,
+    registry)`` in any worker — or inline in the parent after a
+    worker crash.
     """
-    from repro.obs.metrics import MetricsRegistry
-    registry = MetricsRegistry() if task.collect_metrics else None
     runner = JobRunner([task.job], task.policy, gpu=task.gpu,
-                       pim=task.pim, library=task.library,
-                       metrics=registry)
-    doc = runner._attempt_unit(task.job, task.unit, task.key,
-                               task.degraded)
-    return doc, registry
+                       pim=task.pim, library=task.library)
+    return runner._attempt_task(task)
 
 
 class _WorkerTelemetry:
@@ -339,14 +333,18 @@ class JobRunner:
     ``resume_path`` picks up where this one stopped).  ``clock`` is the
     wall-clock source for deadlines (injectable for tests).
 
-    ``workers > 1`` fans fresh units out across a
+    One matrix walk serves every worker count: fresh units dispatch
+    in rounds of at most ``workers`` through a
     :class:`~repro.parallel.WorkerPool` (``threads`` is the per-worker
-    kernel thread count); results are committed in matrix order so
-    every document, checkpoint, and metrics digest is byte-identical
-    to ``workers=1``.  ``worker_metrics`` is an optional *separate*
-    registry for per-worker attribution (``anaheim_worker_*``), and
-    ``pool_task_fn`` is the picklable worker entry point (the test
-    seam; defaults to :func:`_pool_attempt`).
+    kernel thread count), which runs a one-worker round inline.  The
+    deadline and degradation carry-over are re-checked before every
+    round, so at one worker before every unit.  Results are committed
+    in matrix order, so every document, checkpoint, and metrics
+    digest is byte-identical to ``workers=1``.  With a pool the runner
+    owns ``worker_metrics``, a *separate* registry for per-worker
+    attribution (``anaheim_worker_*``); ``pool_task_fn`` is the
+    picklable worker entry point (the test seam; defaults to
+    :func:`_pool_attempt`).
     """
 
     def __init__(self, jobs, policy: ServePolicy, gpu=None, pim=None,
@@ -355,9 +353,8 @@ class JobRunner:
                  max_units: int | None = None,
                  metrics=None, on_unit=None,
                  clock=time.monotonic,
-                 deadline_fatal: bool = False,
                  workers: int = 1, threads: int = 1,
-                 worker_metrics=None, pool_task_fn=None):
+                 pool_task_fn=None):
         self.jobs = list(jobs)
         self.policy = policy
         self.gpu = gpu
@@ -373,19 +370,22 @@ class JobRunner:
         self.on_unit = on_unit
         self.clock = clock
         self.max_units = max_units
-        self.deadline_fatal = deadline_fatal
         if workers < 1:
             raise ParameterError("worker count must be >= 1")
         self.workers = workers
         self.threads = threads
-        self.worker_metrics = worker_metrics
         self.pool_task_fn = (pool_task_fn if pool_task_fn is not None
                              else _pool_attempt)
         #: Per-worker progress (label -> units/busy_s/last_unit), the
-        #: seam ``repro top`` renders worker rows from.
+        #: seam ``repro top`` renders worker rows from; both it and
+        #: ``worker_metrics`` stay empty at one worker.
         self.worker_status: dict = {}
-        self._wm = (_WorkerTelemetry(worker_metrics)
-                    if worker_metrics is not None else None)
+        self.worker_metrics = None
+        self._wm = None
+        if workers > 1:
+            from repro.obs.metrics import MetricsRegistry
+            self.worker_metrics = MetricsRegistry()
+            self._wm = _WorkerTelemetry(self.worker_metrics)
         self._pool = None
         self._worker_labels: dict = {}
         self._m = _ServeMetrics(metrics) if metrics is not None else None
@@ -530,31 +530,30 @@ class JobRunner:
             return {"status": status, "attempts": attempt + 1,
                     "backoff_s": backoffs, "result": result}
 
-    def _attempt_unit_isolated(self, job: JobSpec, unit: str, key: str,
-                               degraded: bool) -> dict:
-        """The retry loop against a fresh per-unit registry, merged
-        back afterwards.
+    def _attempt_task(self, task: _UnitTask):
+        """``(unit doc, registry or None)``: the retry loop run into a
+        fresh per-unit registry, which the walk merges in matrix order.
 
-        This makes the serial path perform the *same float additions*
-        as the worker pool (per-unit subtotals folded in unit order).
-        Float addition is not associative, so accumulating every kernel
-        directly into the job-lifetime registry would differ from the
-        merged per-unit subtotals in the last bits — and ``--workers
-        N`` must digest-match ``--workers 1`` exactly.
+        Every unit of every worker count records this way, so the
+        lifetime registry always sums the same per-unit subtotals in
+        the same order.  Float addition is not associative, so that
+        grouping is what lets ``--workers N`` digest-match
+        ``--workers 1`` exactly.
         """
-        if self.metrics is None:
-            return self._attempt_unit(job, unit, key, degraded)
+        if not task.collect_metrics:
+            return self._attempt_unit(task.job, task.unit, task.key,
+                                      task.degraded), None
         from repro.obs.metrics import MetricsRegistry
         registry = MetricsRegistry()
         saved_metrics, saved_m = self.metrics, self._m
         self.metrics = registry
         self._m = _ServeMetrics(registry)
         try:
-            doc = self._attempt_unit(job, unit, key, degraded)
+            doc = self._attempt_unit(task.job, task.unit, task.key,
+                                     task.degraded)
         finally:
             self.metrics, self._m = saved_metrics, saved_m
-        self.metrics.merge(registry)
-        return doc
+        return doc, registry
 
     # -- Unit accounting -----------------------------------------------------
 
@@ -593,20 +592,13 @@ class JobRunner:
                 return True
         return False
 
-    def _check_deadline(self, job: JobSpec, started: float) -> bool:
-        """True iff ``job``'s serve deadline has passed.
-
-        The single seam for both execution paths: raises
-        :class:`DeadlineError` when deadlines are fatal (the skipped
-        units are counted by :meth:`_skip_deadline`).
-        """
+    def _check_deadline(self, started: float) -> bool:
+        """True iff the job that started at ``started`` has overrun its
+        serve deadline.  Checked before every dispatch round; the
+        units still pending are then skipped (:meth:`_skip_deadline`),
+        never raised on."""
         deadline = self.policy.deadline_s
-        if deadline is None or self.clock() - started <= deadline:
-            return False
-        if self.deadline_fatal:
-            raise DeadlineError(
-                f"job {job.id} exceeded its {deadline}s deadline")
-        return True
+        return deadline is not None and self.clock() - started > deadline
 
     def _skip_deadline(self, job: JobSpec, unit: str,
                        unit_docs: dict) -> None:
@@ -679,28 +671,29 @@ class JobRunner:
                          collect_metrics=self.metrics is not None,
                          gpu=self.gpu, pim=self.pim, library=self.library)
 
-    def _run_job_parallel(self, job: JobSpec) -> dict:
-        """The matrix walk with fresh units fanned out to the pool.
+    def _run_job(self, job: JobSpec) -> dict:
+        """The matrix walk, one for every worker count.
 
-        Byte-identity with the serial path holds because results are
-        *committed* strictly in matrix order — checkpoint records,
-        metric merges, and notifications happen exactly as a serial
-        run would have issued them — regardless of which worker
-        finished first.  Degradation carry-over is speculative: every
-        fresh unit dispatches with the flag known at dispatch time; if
-        a committed unit flips the job degraded, the not-yet-committed
-        speculative results are discarded and the rest redispatched
-        re-lowered (the flag is monotone, so at most one redispatch).
-        A crashed worker costs one unit, re-run inline in the parent
-        through the same ``pool_task_fn``.  Deadlines are checked per
-        dispatch round (between rounds, progress is kept).
+        Restored units are notified first; fresh units then dispatch
+        in rounds of at most ``workers`` (at one worker inline through
+        :meth:`_attempt_task`, otherwise through ``pool_task_fn`` in
+        the pool).  Results are *committed*
+        strictly in matrix order — checkpoint records, metric merges,
+        and notifications — regardless of which worker finished
+        first.  Degradation carry-over is speculative within a round:
+        every unit dispatches with the flag known at dispatch time; if
+        a committed unit flips the job degraded, the round's
+        uncommitted results are discarded and redispatched re-lowered
+        (the flag is monotone, so at most one redispatch).  A crashed
+        worker costs one unit, re-run inline in the parent through the
+        same function.  The deadline is checked before every round;
+        past it, the pending units are skipped with progress kept.
         """
-        policy = self.policy
         unit_docs: dict = {}
         status = "ok"
         started = self.clock()
-        units = job.units(policy.seeds)
-        fresh: list = []
+        units = job.units(self.policy.seeds)
+        pending: list = []
         for unit in units:
             key = f"{job.id}:{unit}"
             stored = self.checkpointer.units.get(key)
@@ -710,41 +703,41 @@ class JobRunner:
                     self._m.restored.inc()
                 self._notify(job, unit, stored, fresh=False)
             else:
-                fresh.append((unit, key))
+                pending.append((unit, key))
         interrupted = False
         if self.max_units is not None:
             budget = max(0, self.max_units - self._fresh_units)
-            if len(fresh) > budget:
+            if len(pending) > budget:
                 interrupted = True
-                fresh = fresh[:budget]
-        pending = list(fresh)
+                pending = pending[:budget]
+        pooled = self.workers > 1
+        fn = self.pool_task_fn if pooled else self._attempt_task
         while pending:
-            if self._check_deadline(job, started):
+            if self._check_deadline(started):
                 status = "deadline-exceeded"
                 for unit, key in pending:
                     self._skip_deadline(job, unit, unit_docs)
                 break
             degraded = self._job_degraded(job, unit_docs)
+            batch = pending[:self.workers]
             tasks = [self._unit_task(job, unit, key, degraded)
-                     for unit, key in pending]
-            results = self._worker_pool().run(self.pool_task_fn,
-                                              tasks)
+                     for unit, key in batch]
+            results = self._worker_pool().run(fn, tasks)
             committed = 0
-            for (unit, key), task, res in zip(pending, tasks,
-                                              results):
-                if self._job_degraded(job, unit_docs) \
-                        != task.degraded:
+            for (unit, key), task, res in zip(batch, tasks, results):
+                if self._job_degraded(job, unit_docs) != task.degraded:
                     break
                 if res.crashed:
                     if self._wm is not None:
                         self._wm.crashes.inc()
                     inline_start = time.perf_counter()
-                    doc, registry = self.pool_task_fn(task)
+                    doc, registry = fn(task)
                     self._account_worker(
                         key, -1, time.perf_counter() - inline_start)
                 else:
                     doc, registry = res.value
-                    self._account_worker(key, res.worker, res.wall_s)
+                    if pooled:
+                        self._account_worker(key, res.worker, res.wall_s)
                 if registry is not None and self.metrics is not None:
                     self.metrics.merge(registry)
                 self._fresh_units += 1
@@ -752,7 +745,7 @@ class JobRunner:
                 self.checkpointer.record(key, doc)
                 self._observe_unit(job, unit, doc)
                 self._notify(job, unit, doc, fresh=True)
-                if doc["status"] not in ("ok",):
+                if doc["status"] != "ok":
                     status = "failed"
                 committed += 1
             pending = pending[committed:]
@@ -761,41 +754,6 @@ class JobRunner:
         ordered = {unit: unit_docs[unit] for unit in units
                    if unit in unit_docs}
         return self._assemble_job(job, ordered, status)
-
-    def _run_job(self, job: JobSpec) -> dict:
-        if self.workers > 1:
-            return self._run_job_parallel(job)
-        policy = self.policy
-        unit_docs: dict = {}
-        status = "ok"
-        started = self.clock()
-        for unit in job.units(policy.seeds):
-            key = f"{job.id}:{unit}"
-            stored = self.checkpointer.units.get(key)
-            if stored is not None:
-                unit_docs[unit] = stored
-                if self._m is not None:
-                    self._m.restored.inc()
-                self._notify(job, unit, stored, fresh=False)
-                continue
-            if self._check_deadline(job, started):
-                status = "deadline-exceeded"
-                self._skip_deadline(job, unit, unit_docs)
-                continue
-            if (self.max_units is not None
-                    and self._fresh_units >= self.max_units):
-                raise _Interrupted()
-            degraded = self._job_degraded(job, unit_docs)
-            doc = self._attempt_unit_isolated(job, unit, key,
-                                              degraded)
-            self._fresh_units += 1
-            unit_docs[unit] = doc
-            self.checkpointer.record(key, doc)
-            self._observe_unit(job, unit, doc)
-            self._notify(job, unit, doc, fresh=True)
-            if doc["status"] not in ("ok",):
-                status = "failed"
-        return self._assemble_job(job, unit_docs, status)
 
     def run(self) -> dict:
         """Execute the matrix; the serve document (JSON-safe, and —

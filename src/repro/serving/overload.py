@@ -230,7 +230,7 @@ def run_overload_serve(spec, tenants, admission_policy, serve_policy,
                        workers: int = 1, threads: int = 1,
                        checkpoint_path=None, resume_path=None,
                        checkpoint_keep=None, max_units=None,
-                       on_unit=None, worker_metrics=None):
+                       on_unit=None):
     """Simulate admission, then execute the dispatched jobs.
 
     Returns ``(document, runner)``: the serve document with an
@@ -259,8 +259,7 @@ def run_overload_serve(spec, tenants, admission_policy, serve_policy,
                        checkpoint_keep=checkpoint_keep,
                        max_units=max_units, metrics=metrics,
                        on_unit=on_unit,
-                       workers=workers, threads=threads,
-                       worker_metrics=worker_metrics)
+                       workers=workers, threads=threads)
     document = runner.run()
     document["admission"] = {
         "spec": sim["spec"], "tenants": sim["tenants"],

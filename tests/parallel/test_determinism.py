@@ -149,6 +149,26 @@ class TestServeByteIdentity:
         # only holds the fresh half — the *document* identity is the
         # resume contract, matching the serial resume semantics.
 
+    def test_deadline_is_rechecked_between_rounds(self):
+        # The fake clock advances 3 s per committed unit, so a 5 s
+        # deadline passes once the first two-unit round has landed.
+        set_script()
+        now = {"t": 0.0}
+
+        def on_unit(job, unit, doc, fresh):
+            if fresh:
+                now["t"] += 3.0
+
+        _, doc, _ = scripted_run(
+            WORKLOADS, workers=2, policy=ServePolicy(deadline_s=5.0),
+            clock=lambda: now["t"], on_unit=on_unit)
+        job = doc["jobs"][0]
+        statuses = {unit: d["status"] for unit, d in job["units"].items()}
+        assert statuses == {"A": "ok", "B": "ok",
+                            "C": "deadline-skipped",
+                            "D": "deadline-skipped"}
+        assert job["status"] == "deadline-exceeded"
+
     def test_worker_status_accounts_every_fresh_unit(self):
         set_script()
         runner, doc, _ = scripted_run(WORKLOADS, workers=2)
@@ -163,16 +183,14 @@ class TestServeByteIdentity:
 class TestCrashRecovery:
     def test_killed_worker_unit_reruns_inline_identically(self):
         set_script(failures={"0-run:B": 1}, crash_units={"B"})
-        worker_reg = MetricsRegistry()
         runner, doc, _ = scripted_run(
-            WORKLOADS, workers=2, pool_fn=crashing_pool_attempt,
-            worker_metrics=worker_reg)
+            WORKLOADS, workers=2, pool_fn=crashing_pool_attempt)
         set_script(failures={"0-run:B": 1})
         _, serial_doc, _ = scripted_run(WORKLOADS, workers=1)
         assert canon(doc) == canon(serial_doc)
         assert "parent" in runner.worker_status
         crashes = [s["samples"][0]["value"]
-                   for s in worker_reg.snapshot()["metrics"]
+                   for s in runner.worker_metrics.snapshot()["metrics"]
                    if s["name"] == "anaheim_worker_crashes_total"]
         assert crashes and crashes[0] >= 1
 

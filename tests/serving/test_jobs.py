@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DeadlineError, FaultError, ParameterError
+from repro.errors import FaultError, ParameterError
 from repro.serving.jobs import (JobRunner, JobSpec, ServePolicy,
                                 parse_job_spec, parse_jobs)
 
@@ -118,13 +118,6 @@ class TestDeadlines:
         assert units["Sort"] == {"status": "deadline-skipped"}
         assert doc["jobs"][0]["status"] == "deadline-exceeded"
         assert not doc["ok"]
-
-    def test_deadline_fatal_raises(self):
-        ticks = iter([0.0, 0.0, 10.0])
-        with pytest.raises(DeadlineError, match="deadline"):
-            run_job(workloads=("Boot", "HELR"),
-                    policy=ServePolicy(deadline_s=5.0),
-                    clock=lambda: next(ticks), deadline_fatal=True)
 
     def test_deadline_is_per_job(self):
         """A slow first job must not consume the second job's budget."""

@@ -135,8 +135,7 @@ class TestServeWiring:
                            duration_s=0.8, seed=0)
         return run_overload_serve(
             spec, DEFAULT_TENANTS, AdmissionPolicy(),
-            ServePolicy(seeds=(0,)), metrics=metrics, workers=workers,
-            worker_metrics=MetricsRegistry() if workers > 1 else None)
+            ServePolicy(seeds=(0,)), metrics=metrics, workers=workers)
 
     def test_workers_do_not_change_the_bytes(self):
         """Acceptance bar: byte-identical documents, decisions, and

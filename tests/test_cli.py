@@ -407,6 +407,26 @@ class TestTopCommand:
         assert out.count("restored") >= 2  # per-unit notes + summary
         assert "(restored 2)" in out
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_telemetry_exists_exactly_with_a_pool(
+            self, capsys, tmp_path, workers):
+        from repro.obs.metrics import parse_prometheus
+        prom = tmp_path / "top.prom"
+        assert main(["top", "--jobs", "run:Boot,HELR", "--workers",
+                     str(workers), "--metrics-out", str(prom)]) == 0
+        out = capsys.readouterr().out
+        parsed = parse_prometheus(prom.read_text())
+        worker_families = [name for name in parsed["types"]
+                           if name.startswith("anaheim_worker_")]
+        units = sum(value for name, _, value in parsed["samples"]
+                    if name == "anaheim_worker_units_total")
+        if workers == 1:
+            assert "pool:" not in out
+            assert worker_families == []
+        else:
+            assert "pool: 2 workers" in out
+            assert units == 2
+
     def test_top_without_jobs_errors(self, capsys):
         assert main(["top"]) == 2
         assert "--jobs" in capsys.readouterr().err
@@ -656,6 +676,18 @@ class TestRasFlagValidation:
         policy = json.loads(capsys.readouterr().out)["policy"]
         assert policy["kernel_timeout_s"] == 1e-4
         assert policy["deadline_s"] == 100.0
+
+    @pytest.mark.parametrize("argv", [
+        ["faults", "--workers", "0"],
+        ["ras", "--workers", "-1"],
+        ["serve", "--jobs", "run:Boot", "--workers", "0"],
+        ["bench", "--workload", "parallel", "--workers", "0"],
+    ], ids=lambda argv: "-".join(argv))
+    def test_bad_worker_count_is_one_line_exit_1(self, capsys, argv):
+        # faults and ras used to run such counts inline and exit 0.
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: worker count must be >= 1\n"
 
     @pytest.mark.parametrize("argv", [
         ["ras", "--retention-rates", "200,zero"],
