@@ -1,11 +1,8 @@
-"""Reporting and breakdown analysis helpers."""
+"""Plain-text formatting helpers for tables, times, bytes and ratios."""
 
-from repro.analysis.breakdown import (BreakdownRow, breakdown_row,
-                                      merge_reports, stacked_bars)
 from repro.analysis.reporting import (format_bytes, format_ratio,
                                       format_seconds, format_table)
 
 __all__ = [
-    "BreakdownRow", "breakdown_row", "format_bytes", "format_ratio",
-    "format_seconds", "format_table", "merge_reports", "stacked_bars",
+    "format_bytes", "format_ratio", "format_seconds", "format_table",
 ]

@@ -313,7 +313,7 @@ def cmd_microbench(args) -> int:
     return 0
 
 
-def _bench_framework(args):
+def _bench_framework(args, tracer=None, metrics=None):
     """(framework, pim-or-None, workload) for bench/profile runs."""
     gpu, pim, library = _target(args)
     params = paper_params()
@@ -323,7 +323,7 @@ def _bench_framework(args):
     framework = AnaheimFramework(
         gpu, pim, library=library,
         keep_segments=getattr(args, "trace_out", None) is not None,
-        tracer=getattr(args, "_tracer", None))
+        tracer=tracer, metrics=metrics)
     return framework, pim, workload, params
 
 
@@ -1347,16 +1347,20 @@ def cmd_top(args) -> int:
 def cmd_profile(args) -> int:
     tracer = Tracer()
     if args.workload == "functional":
+        if args.trace_out:
+            raise ParameterError(
+                "profile --workload functional records counters, not "
+                "spans; --trace-out needs a modeled workload")
         from repro.ckks.bench import engine_counters
         from repro.ckks.fixture import bootstrap_fixture
         _, precision = engine_counters(bootstrap_fixture(), tracer)
         print(f"functional CKKS layer: one warm bootstrap, precision "
               f"max err {precision:.2e}")
         print()
-        print(render_counters(tracer))
+        print(render_counters(tracer.counters))
         return 0
-    args._tracer = tracer
-    built = _bench_framework(args)
+    registry = MetricsRegistry()
+    built = _bench_framework(args, tracer=tracer, metrics=registry)
     if built is None:
         return 1
     framework, pim, workload, params = built
@@ -1369,7 +1373,7 @@ def cmd_profile(args) -> int:
     print()
     print(render_span_tree(tracer))
     print()
-    print(render_counters(tracer))
+    print(render_counters(registry.counter_samples()))
     if args.trace_out:
         print()
         _write_artifact(args.trace_out,

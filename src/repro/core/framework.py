@@ -49,10 +49,8 @@ class AnaheimFramework:
         self.library = library
         self.tracer = tracer
         self.metrics = metrics
-        self.gpu_model = GpuModel(gpu, library, tracer=tracer,
-                                  metrics=metrics)
-        self.pim_executor = (PimExecutor(pim, tracer=tracer,
-                                         metrics=metrics)
+        self.gpu_model = GpuModel(gpu, library, metrics=metrics)
+        self.pim_executor = (PimExecutor(pim, metrics=metrics)
                              if pim is not None else None)
         self.cache = CacheModel(l2_bytes=gpu.l2_cache_bytes,
                                 working_set_bytes=working_set_bytes)

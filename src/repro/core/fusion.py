@@ -90,13 +90,7 @@ class Lowering:
                 trace.extend(handler(block))
                 continue
             with tracer.span(f"lower.{block.kind}", limbs=block.limbs):
-                kernels = handler(block)
-            tracer.count("lower.blocks")
-            tracer.count(f"lower.blocks.{block.kind}")
-            for kernel in kernels:
-                device = "pim" if isinstance(kernel, PimKernel) else "gpu"
-                tracer.count(f"lower.kernels.{device}")
-            trace.extend(kernels)
+                trace.extend(handler(block))
         return trace
 
     # -- Element-wise emission (GPU kernel or PIM instruction) ------------------

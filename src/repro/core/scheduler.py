@@ -106,96 +106,6 @@ class ScheduleReport:
         return {CATEGORY_LABELS[cat]: self.time_by_category.get(cat, 0.0)
                 for cat in OpCategory}
 
-    def scaled(self, factor: float) -> "ScheduleReport":
-        """Report for `factor` repetitions of this schedule (no segments)."""
-        out = ScheduleReport(label=self.label)
-        out.total_time = self.total_time * factor
-        out.gpu_time = self.gpu_time * factor
-        out.pim_time = self.pim_time * factor
-        out.transition_time = self.transition_time * factor
-        out.transitions = int(self.transitions * factor)
-        out.time_by_category = {k: v * factor
-                                for k, v in self.time_by_category.items()}
-        out.gpu_dram_bytes = self.gpu_dram_bytes * factor
-        out.transfer_bytes = self.transfer_bytes * factor
-        out.pim_internal_bytes = self.pim_internal_bytes * factor
-        out.pim_activations = int(self.pim_activations * factor)
-        out.energy_gpu_dynamic = self.energy_gpu_dynamic * factor
-        out.energy_gpu_idle = self.energy_gpu_idle * factor
-        out.energy_pim = self.energy_pim * factor
-        out.fault_summary = _scale_fault_summary(self.fault_summary, factor)
-        return out
-
-    def merged(self, other: "ScheduleReport",
-               label: str | None = None) -> "ScheduleReport":
-        out = self.scaled(1.0)
-        out.label = label or self.label
-        out.total_time += other.total_time
-        out.gpu_time += other.gpu_time
-        out.pim_time += other.pim_time
-        out.transition_time += other.transition_time
-        out.transitions += other.transitions
-        for key, value in other.time_by_category.items():
-            out.time_by_category[key] = out.time_by_category.get(
-                key, 0.0) + value
-        out.gpu_dram_bytes += other.gpu_dram_bytes
-        out.transfer_bytes += other.transfer_bytes
-        out.pim_internal_bytes += other.pim_internal_bytes
-        out.pim_activations += other.pim_activations
-        out.energy_gpu_dynamic += other.energy_gpu_dynamic
-        out.energy_gpu_idle += other.energy_gpu_idle
-        out.energy_pim += other.energy_pim
-        out.fault_summary = _merge_fault_summaries(out.fault_summary,
-                                                   other.fault_summary)
-        return out
-
-
-#: fault_summary keys that are ratios or identities, not extensive
-#: counts — they neither scale with repetitions nor sum across merges.
-#: The degradation/breaker blocks are end-of-run state snapshots, kept
-#: verbatim by the first report in a merge.
-_INTENSIVE_FAULT_KEYS = frozenset({"coverage", "plan_digest",
-                                   "degradation", "breakers", "ras"})
-
-
-def _fault_coverage(summary: dict) -> float:
-    effective = summary.get("effective", 0)
-    return (summary.get("detected", 0) / effective) if effective else 1.0
-
-
-def _scale_fault_summary(summary: dict, factor: float) -> dict:
-    """Fault accounting for ``factor`` repetitions of a schedule."""
-    out = {}
-    for key, value in summary.items():
-        if key in _INTENSIVE_FAULT_KEYS or isinstance(value, bool) \
-                or isinstance(value, (list, str)):
-            out[key] = value
-        elif isinstance(value, int):
-            out[key] = int(value * factor)
-        elif isinstance(value, float):
-            out[key] = value * factor
-        else:
-            out[key] = value
-    return out
-
-
-def _merge_fault_summaries(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for key, value in b.items():
-        if key in _INTENSIVE_FAULT_KEYS:
-            out.setdefault(key, value)
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            out[key] = out.get(key, 0) + value
-        elif isinstance(value, list):
-            merged = list(out.get(key, [])) + [v for v in value
-                                               if v not in out.get(key, [])]
-            out[key] = merged
-        else:
-            out.setdefault(key, value)
-    if "effective" in out:
-        out["coverage"] = _fault_coverage(out)
-    return out
-
 
 class _SchedulerMetrics:
     """Metric families the scheduler updates (one lookup at init)."""
@@ -291,15 +201,12 @@ class Scheduler:
                 name = f"dispatch.{device}.{kernel.category.value}"
                 with tracer.span(name, kernel=kernel.name):
                     duration = dispatch(kernel, report)
-                tracer.count(f"scheduler.kernels.{device}")
             if self._m is not None:
                 self._m.kernel(device, kernel.category, duration)
             if previous_device is not None and previous_device != device:
                 clock += overhead
                 report.transition_time += overhead
                 report.transitions += 1
-                if tracer is not None:
-                    tracer.count("scheduler.transitions")
                 if self._m is not None:
                     self._m.transitions.inc()
             start = clock

@@ -22,7 +22,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.ckks import instrument
 from repro.errors import FaultError
 from repro.faults import checksum as cks
 from repro.faults.inject import FaultInjector
@@ -103,7 +102,6 @@ class FaultSession:
             # PIM site is out of rotation: the clean result stands in
             # for the rerouted GPU execution.
             injector.note_reroute()
-            instrument.count("faults.rerouted")
             return
         expected = self._expected(op, inputs, q_col, scalars)
         event = None
@@ -112,7 +110,6 @@ class FaultSession:
             injected = self._inject(out, op, site)
             if injected is not None:
                 event = injected
-                instrument.count("faults.injected")
             if not cks.mismatched_limbs(out, expected, q_col).any():
                 if event is not None and event.recovery is None \
                         and not event.detected:
@@ -126,14 +123,12 @@ class FaultSession:
             if event is not None:
                 event.detected = True
                 event.attempts = attempts + 1
-            instrument.count("faults.detected")
             attempts += 1
             if (attempts <= plan.max_attempts
                     and not injector.is_stuck(site)):
                 recompute(out)
                 if event is not None:
                     event.recovery = "retry"
-                instrument.count("faults.retries")
                 continue
             if not plan.allow_fallback:
                 raise FaultError(
@@ -142,9 +137,7 @@ class FaultSession:
             recompute(out)
             if event is not None:
                 event.recovery = "fallback"
-            instrument.count("faults.fallbacks")
-            if injector.record_site_failure(site):
-                instrument.count("faults.quarantined_sites")
+            injector.record_site_failure(site)
             break
 
 

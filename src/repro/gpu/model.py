@@ -34,10 +34,9 @@ class GpuModel:
     """Costs GPU kernels against a :class:`GpuConfig` and library profile."""
 
     def __init__(self, config: GpuConfig, library: LibraryProfile = CHEDDAR,
-                 tracer=None, metrics=None):
+                 metrics=None):
         self.config = config
         self.library = library
-        self.tracer = tracer
         self.metrics = metrics
         if metrics is not None:
             self._m_costs = metrics.counter(
@@ -95,10 +94,6 @@ class GpuModel:
         bw = cfg.dram_bandwidth * self._bandwidth_efficiency(kernel.category)
         memory_time = dram_bytes / bw if dram_bytes else 0.0
         time = max(compute_time, memory_time) + cfg.kernel_launch_overhead
-        if self.tracer is not None:
-            self.tracer.count("gpu.kernel_costs")
-            self.tracer.count(f"gpu.kernel_costs.{kernel.category.value}")
-            self.tracer.count("gpu.dram_bytes", dram_bytes)
         if self.metrics is not None:
             self._m_costs.inc(category=kernel.category.value)
             self._m_dram.inc(dram_bytes)

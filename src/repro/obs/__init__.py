@@ -2,21 +2,24 @@
 
 This package makes runs of the reproduction *measurable*:
 
-* :mod:`repro.obs.tracer` — a lightweight wall-clock span/counter
-  tracer threaded through the modeling pipeline only: the framework,
-  lowering, the plain scheduler dispatch, and the device cost models
-  (opt-in: every instrumented call site is a single ``is None`` check
-  when tracing is off).  It feeds ``anaheim-repro profile``.
+* :mod:`repro.obs.tracer` — a lightweight wall-clock span tracer
+  threaded through the modeling pipeline only: the framework, lowering
+  and the plain scheduler dispatch (opt-in: every instrumented call
+  site is a single ``is None`` check when tracing is off).  It only
+  times; its spans feed ``anaheim-repro profile``.
 * :mod:`repro.obs.export` — Chrome trace-event JSON (loadable in
   Perfetto / ``chrome://tracing``) generated from tracer spans or from
   a :class:`~repro.core.scheduler.ScheduleReport`'s simulated Gantt
   segments, plus a full JSON run manifest with config provenance.
-* :mod:`repro.obs.metrics` — a process-wide, label-aware metrics
-  registry (counters, gauges, histograms) with deterministic snapshots,
+* :mod:`repro.obs.metrics` — a label-aware metrics registry
+  (counters, gauges, histograms) with deterministic snapshots,
   Prometheus text exposition, and a structured JSONL event log.  It is
-  the only recorder of the serving, fault and RAS layers (resilient
-  scheduler fault loop, health monitor, breakers, admission, job
-  runner, RAS engine), which take ``metrics=`` and no tracer.
+  the only thing that counts: the scheduler and the GPU/PIM cost
+  models count each modeled event once here, and it is the only
+  recorder of the serving, fault and RAS layers (resilient scheduler
+  fault loop, health monitor, breakers, admission, job runner, RAS
+  engine), which take ``metrics=`` and no tracer.  Every caller builds
+  its own registry.
 * :mod:`repro.obs.utilization` — :class:`UtilizationReport`, derived
   device-utilization accounting (busy fractions, MMAC lane occupancy,
   bandwidth utilization, overlap efficiency) from any schedule report.
@@ -24,7 +27,8 @@ This package makes runs of the reproduction *measurable*:
   baselines, a tolerance-based regression check, and per-workload
   run-history trend files.
 * :mod:`repro.obs.profile` — aggregated span-tree rendering with
-  self/cumulative times (the ``anaheim-repro profile`` output).
+  self/cumulative times, plus the counter table (the ``anaheim-repro
+  profile`` output).
 * :mod:`repro.obs.provenance` — git SHA, environment, and dataclass
   serialization helpers used by the manifest.
 """
@@ -36,8 +40,7 @@ from repro.obs.export import (chrome_trace_from_report,
                               chrome_trace_from_tracer, report_dict,
                               run_manifest, write_json)
 from repro.obs.metrics import (Counter, EventLog, Gauge, Histogram,
-                               MetricsRegistry, get_registry,
-                               parse_prometheus)
+                               MetricsRegistry, parse_prometheus)
 from repro.obs.profile import render_counters, render_span_tree
 from repro.obs.provenance import config_dict, environment_info, git_sha
 from repro.obs.tracer import Span, Tracer, maybe_span
@@ -60,7 +63,6 @@ __all__ = [
     "chrome_trace_from_tracer",
     "config_dict",
     "environment_info",
-    "get_registry",
     "git_sha",
     "load_baseline",
     "maybe_span",

@@ -1,10 +1,13 @@
 """Label-aware metrics: counters, gauges, histograms, and exporters.
 
-The tracer (:mod:`repro.obs.tracer`) answers "where did *this* run
-spend its time"; this module answers the aggregate questions the
-paper's evaluation is actually about — rates, distributions, and
-utilization breakdowns over many kernels, units, and jobs.  A
-:class:`MetricsRegistry` holds three metric kinds:
+The tracer (:mod:`repro.obs.tracer`) only times: it answers "where
+did *this* run spend its wall clock".  This module is the one thing
+that counts.  It answers the aggregate questions the paper's
+evaluation is about — rates, distributions, and utilization
+breakdowns over many kernels, units, and jobs — for the modeling
+pipeline (scheduler, GPU/PIM cost models) and the serving, fault and
+RAS layers alike.  A :class:`MetricsRegistry` holds three metric
+kinds:
 
 * :class:`Counter` — monotonically non-decreasing totals (kernels
   dispatched, faults detected, retries);
@@ -33,9 +36,9 @@ byte-identical documents):
 --smoke`` CLI gate and CI use: it checks line format, label syntax,
 histogram bucket monotonicity, and counter non-negativity.
 
-Instrumented components follow the tracer convention: they accept
-``metrics=None`` and guard every site with one ``is None`` check, so
-the un-instrumented path stays free.
+Instrumented components accept ``metrics=None`` and guard every site
+with one ``is None`` check, so the un-instrumented path stays free.
+Every caller builds its own registry and passes it down.
 """
 
 from __future__ import annotations
@@ -165,10 +168,14 @@ class Counter(Metric):
                  "value": value}
                 for key, value in self._sorted_samples()]
 
+    def samples(self) -> dict:
+        """``{sample name as exposed: value}``, sorted by labels."""
+        return {f"{self.name}{_render_labels(self.labelnames, key)}": value
+                for key, value in self._sorted_samples()}
+
     def render(self) -> list:
-        return [f"{self.name}{_render_labels(self.labelnames, key)} "
-                f"{format_value(value)}"
-                for key, value in self._sorted_samples()]
+        return [f"{name} {format_value(value)}"
+                for name, value in self.samples().items()]
 
     def merge(self, other: Metric) -> None:
         self._check_mergeable(other)
@@ -200,6 +207,7 @@ class Gauge(Metric):
         return self._samples.get(self._key(labels), 0.0)
 
     snapshot_samples = Counter.snapshot_samples
+    samples = Counter.samples
     render = Counter.render
 
 
@@ -398,6 +406,13 @@ class MetricsRegistry:
     def families(self) -> list:
         return [self._metrics[name] for name in sorted(self._metrics)]
 
+    def counter_samples(self) -> dict:
+        """Every counter sample by its exposition name (the ``profile``
+        counter table)."""
+        return {name: value for metric in self.families()
+                if isinstance(metric, Counter)
+                for name, value in metric.samples().items()}
+
     def clear(self) -> None:
         self._metrics.clear()
 
@@ -452,16 +467,6 @@ class MetricsRegistry:
             lines.append(f"# TYPE {metric.name} {metric.kind}")
             lines.extend(metric.render())
         return "\n".join(lines) + "\n" if lines else ""
-
-
-#: The process-wide default registry.  Library callers that want
-#: isolation (tests, the CLI's deterministic snapshots) construct their
-#: own :class:`MetricsRegistry` and pass it down instead.
-REGISTRY = MetricsRegistry()
-
-
-def get_registry() -> MetricsRegistry:
-    return REGISTRY
 
 
 class EventLog:

@@ -1,4 +1,5 @@
-"""Aggregated span-tree rendering (the ``profile`` subcommand output)."""
+"""Span-tree and counter-table rendering (the ``profile`` subcommand
+output)."""
 
 from __future__ import annotations
 
@@ -45,13 +46,16 @@ def render_span_tree(tracer: Tracer, name_width: int = 44) -> str:
     return "\n".join(lines)
 
 
-def render_counters(tracer: Tracer, name_width: int = 44) -> str:
-    if not tracer.counters:
+def render_counters(counters: dict, name_width: int = 44) -> str:
+    """``{name: value}`` as a sorted two-column table; the name column
+    widens to fit the longest name."""
+    if not counters:
         return "(no counters recorded)"
+    name_width = max(name_width, max(map(len, counters)) + 2)
     lines = [f"{'counter':<{name_width}s}{'value':>16s}"]
     lines.append("-" * (name_width + 16))
-    for name in sorted(tracer.counters):
-        value = tracer.counters[name]
+    for name in sorted(counters):
+        value = counters[name]
         text = f"{value:,.0f}" if value == int(value) else f"{value:,.3f}"
         lines.append(f"{name:<{name_width}s}{text:>16s}")
     return "\n".join(lines)

@@ -1,22 +1,23 @@
-"""Lightweight span/counter tracer.
+"""Lightweight wall-clock span tracer.
 
 The tracer records *wall-clock* spans of the reproduction's own code
-(lowering passes, scheduling, device cost models) — as opposed to the
+(lowering passes, scheduling, device dispatch) — as opposed to the
 *simulated* timeline a :class:`~repro.core.scheduler.ScheduleReport`
 describes.  Both can be exported as Chrome trace events
 (:mod:`repro.obs.export`).
 
+In the modeling pipeline the tracer only times; every count of a
+modeled event (kernels, transitions, costings, DRAM bytes, PIM
+activations) lives once, in :class:`~repro.obs.metrics.MetricsRegistry`.
+:meth:`Tracer.count` remains for the numeric engine, whose module-level
+hook (:mod:`repro.ckks.instrument`) feeds the engine counters.
+
 Instrumentation is opt-in.  The objects that take ``tracer=None`` are
-the modeling pipeline's: :class:`~repro.core.framework.AnaheimFramework`,
-lowering, the plain :class:`~repro.core.scheduler.Scheduler` dispatch,
-:class:`~repro.gpu.model.GpuModel` and
-:class:`~repro.pim.executor.PimExecutor` (the numeric engine has its
-own module-level hook in :mod:`repro.ckks.instrument`).  Call sites
-guard with a single ``is None`` check (or equivalently
-:func:`maybe_span`), so the default path pays one branch per site and
-records nothing.  The serving, fault and RAS layers — the resilient
-scheduler's fault loop, health monitor, breakers, admission and job
-runner — record only into :class:`~repro.obs.metrics.MetricsRegistry`.
+:class:`~repro.core.framework.AnaheimFramework`, lowering and the plain
+:class:`~repro.core.scheduler.Scheduler` dispatch.  Call sites guard
+with a single ``is None`` check (or equivalently :func:`maybe_span`),
+so the default path pays one branch per site and records nothing.  The
+serving, fault and RAS layers record only into the registry.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ class Tracer:
 
     Spans are stored flat, in start order, with parent indices — cheap
     to record, trivial to rebuild into a tree afterwards.  Counters are
-    a plain ``{name: value}`` accumulator for events too frequent or
-    too small to deserve a span (kernel costings, emitted kernels,
-    device transitions).
+    a plain ``{name: value}`` accumulator that only the numeric
+    engine's hook writes (NTT calls, cache hits and misses).
     """
 
     def __init__(self, clock=time.perf_counter):

@@ -59,9 +59,8 @@ ZERO_COST = PimCost(0.0, 0.0, 0, 0, 0.0)
 class PimExecutor:
     """Costs :class:`PimKernel` descriptors against a :class:`PimConfig`."""
 
-    def __init__(self, config: PimConfig, tracer=None, metrics=None):
+    def __init__(self, config: PimConfig, metrics=None):
         self.config = config
-        self.tracer = tracer
         self.metrics = metrics
         if metrics is not None:
             self._m_instructions = metrics.counter(
@@ -158,11 +157,6 @@ class PimExecutor:
         energy = (total_acts * cfg.energy.act_energy
                   + internal_bytes * 8.0 * cfg.access_pj_per_bit() * 1e-12
                   + ops * cfg.mmac_pj_per_op * 1e-12)
-        if self.tracer is not None:
-            self.tracer.count("pim.kernel_costs")
-            self.tracer.count(f"pim.kernel_costs.{kernel.instruction}")
-            self.tracer.count("pim.activations", total_acts)
-            self.tracer.count("pim.internal_bytes", internal_bytes)
         if self.metrics is not None:
             self._m_instructions.inc(instruction=kernel.instruction)
             self._m_activations.inc(total_acts)

@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.analysis.breakdown import (breakdown_row, merge_reports,
-                                      stacked_bars)
 from repro.analysis.reporting import (format_bytes, format_ratio,
                                       format_seconds, format_table)
 from repro.core import blocks as B
@@ -46,27 +44,6 @@ class TestReporting:
 
     def test_format_ratio(self):
         assert format_ratio(1.6180) == "1.62x"
-
-
-class TestBreakdownAnalysis:
-    def test_breakdown_row_shares_sum_below_one(self, report):
-        row = breakdown_row("x", report)
-        assert 0.99 < sum(row.shares.values()) <= 1.01
-        assert row.share(OpCategory.NTT) > 0
-
-    def test_merge_reports(self, report):
-        merged = merge_reports([report, report], label="2x")
-        assert merged.total_time == pytest.approx(2 * report.total_time)
-        assert merged.label == "2x"
-
-    def test_stacked_bars_renders(self, report):
-        art = stacked_bars([breakdown_row("alpha", report),
-                            breakdown_row("beta", report)])
-        assert "alpha" in art and "beta" in art
-        assert "N=(I)NTT" in art
-
-    def test_stacked_bars_empty(self):
-        assert stacked_bars([]) == ""
 
 
 class TestMetrics:

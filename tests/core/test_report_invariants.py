@@ -1,13 +1,9 @@
-"""Invariants of ScheduleReport.scaled/merged and the empty-input paths."""
+"""Empty-input rendering and Gantt glyph coverage of schedule reports."""
 
 import itertools
 
-import pytest
-
-from repro.analysis.breakdown import merge_reports
 from repro.core.framework import AnaheimFramework
 from repro.core.gantt import _GLYPHS, render_breakdown, render_gantt
-from repro.core.scheduler import ScheduleReport
 from repro.core.trace import OpCategory
 from repro.gpu.configs import A100_80GB
 from repro.params import paper_params
@@ -15,112 +11,7 @@ from repro.pim.configs import A100_NEAR_BANK
 from repro.workloads.linear_transform_trace import hoisted_block
 
 
-def _report(label="r", total=2.0, gpu=1.2, pim=0.6, transitions=5):
-    report = ScheduleReport(label=label)
-    report.total_time = total
-    report.gpu_time = gpu
-    report.pim_time = pim
-    report.transition_time = total - gpu - pim
-    report.transitions = transitions
-    report.time_by_category = {OpCategory.NTT: gpu * 0.5,
-                               OpCategory.ELEMENTWISE: pim,
-                               OpCategory.BCONV: gpu * 0.5}
-    report.gpu_dram_bytes = 4e9
-    report.pim_internal_bytes = 9e9
-    report.pim_activations = 1000
-    report.energy_gpu_dynamic = 3.0
-    report.energy_gpu_idle = 0.5
-    report.energy_pim = 1.5
-    return report
-
-
-class TestScaled:
-    def test_energy_scales_linearly(self):
-        report = _report()
-        scaled = report.scaled(3.0)
-        assert scaled.energy == pytest.approx(3.0 * report.energy)
-        assert scaled.energy_pim == pytest.approx(3.0 * report.energy_pim)
-
-    def test_edp_scales_quadratically(self):
-        # EDP = E * T, so scaling the schedule k-fold scales EDP k^2-fold.
-        report = _report()
-        assert report.scaled(3.0).edp == pytest.approx(9.0 * report.edp)
-
-    def test_transitions_truncate_on_fractional_factor(self):
-        report = _report(transitions=5)
-        assert report.scaled(0.5).transitions == 2    # int(2.5)
-        assert report.scaled(1.9).transitions == 9    # int(9.5)
-        assert report.scaled(0.5).pim_activations == 500
-
-    def test_category_keys_preserved(self):
-        report = _report()
-        scaled = report.scaled(0.25)
-        assert set(scaled.time_by_category) == set(report.time_by_category)
-        for key, value in report.time_by_category.items():
-            assert scaled.time_by_category[key] == pytest.approx(0.25 * value)
-
-    def test_segments_dropped(self):
-        report = _report()
-        report.segments = [object()]
-        assert report.scaled(2.0).segments == []
-
-
-class TestMerged:
-    def test_energy_additivity(self):
-        a, b = _report("a"), _report("b", total=1.0, gpu=0.7, pim=0.2)
-        merged = a.merged(b)
-        assert merged.energy == pytest.approx(a.energy + b.energy)
-        assert merged.total_time == pytest.approx(a.total_time + b.total_time)
-        assert merged.transitions == a.transitions + b.transitions
-
-    def test_edp_is_not_additive(self):
-        # (Ea+Eb)(Ta+Tb) != EaTa + EbTb — the merged EDP is the product
-        # of the summed components, by design.
-        a, b = _report("a"), _report("b", total=1.0)
-        merged = a.merged(b)
-        assert merged.edp == pytest.approx(merged.energy * merged.total_time)
-        assert merged.edp != pytest.approx(a.edp + b.edp)
-
-    def test_category_union_preserved(self):
-        a = _report("a")
-        b = _report("b")
-        del b.time_by_category[OpCategory.BCONV]
-        b.time_by_category[OpCategory.AUTOMORPHISM] = 0.1
-        merged = a.merged(b)
-        assert set(merged.time_by_category) == (set(a.time_by_category)
-                                               | set(b.time_by_category))
-        assert merged.time_by_category[OpCategory.NTT] == pytest.approx(
-            a.time_by_category[OpCategory.NTT]
-            + b.time_by_category[OpCategory.NTT])
-        assert merged.time_by_category[OpCategory.AUTOMORPHISM] == \
-            pytest.approx(0.1)
-
-    def test_label_override(self):
-        merged = _report("a").merged(_report("b"), label="sum")
-        assert merged.label == "sum"
-        assert _report("a").merged(_report("b")).label == "a"
-
-    def test_merge_does_not_mutate_inputs(self):
-        a, b = _report("a"), _report("b")
-        before = dict(a.time_by_category)
-        a.merged(b)
-        assert a.time_by_category == before
-
-
 class TestEmptyInputs:
-    def test_merge_reports_empty_returns_empty_report(self):
-        merged = merge_reports([], label="empty")
-        assert isinstance(merged, ScheduleReport)
-        assert merged.label == "empty"
-        assert merged.total_time == 0.0
-        assert merged.energy == 0.0
-        assert merged.time_by_category == {}
-
-    def test_merge_reports_single(self):
-        report = _report()
-        merged = merge_reports([report])
-        assert merged.total_time == pytest.approx(report.total_time)
-
     def test_render_breakdown_empty_dict(self):
         art = render_breakdown({})
         assert isinstance(art, str)

@@ -75,14 +75,6 @@ class TestScheduling:
             A100_80GB.idle_power * report.total_time)
         assert report.energy_pim > 0
 
-    def test_scaled_and_merged(self, scheduler):
-        report = scheduler.run(_hybrid_trace())
-        double = report.scaled(2.0)
-        assert double.total_time == pytest.approx(2 * report.total_time)
-        assert double.energy == pytest.approx(2 * report.energy)
-        merged = report.merged(report)
-        assert merged.total_time == pytest.approx(2 * report.total_time)
-
     def test_edp(self, scheduler):
         report = scheduler.run(_hybrid_trace())
         assert report.edp == pytest.approx(report.energy * report.total_time)

@@ -114,23 +114,3 @@ class TestStuckSites:
                             n_sites=1, allow_fallback=False)
         with pytest.raises(FaultError):
             _run(plan)
-
-
-class TestSummaryComposition:
-    def test_scaled_preserves_ratios(self):
-        report = _run(default_plan(seed=1, scale=50.0))
-        double = report.scaled(2.0)
-        summary, scaled = report.fault_summary, double.fault_summary
-        assert scaled["injected"] == 2 * summary["injected"]
-        assert scaled["verify_time"] == pytest.approx(
-            2 * summary["verify_time"])
-        assert scaled["coverage"] == summary["coverage"]
-        assert scaled["plan_digest"] == summary["plan_digest"]
-
-    def test_merged_pools_counts(self):
-        a = _run(default_plan(seed=1, scale=50.0))
-        b = _run(default_plan(seed=2, scale=50.0))
-        merged = a.merged(b).fault_summary
-        assert merged["injected"] == (a.fault_summary["injected"]
-                                      + b.fault_summary["injected"])
-        assert merged["coverage"] == 1.0

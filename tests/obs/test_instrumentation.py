@@ -1,9 +1,16 @@
-"""Tests for the tracer threading through the execution stack."""
+"""Tests for the tracer and registry threading through the modeling stack.
+
+The tracer only times (spans); every modeled event is counted once, in
+the metrics registry.
+"""
+
+from collections import Counter
 
 import pytest
 
 from repro.core.framework import AnaheimFramework
 from repro.gpu.configs import A100_80GB
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.params import paper_params
 from repro.pim.configs import A100_NEAR_BANK
@@ -26,8 +33,7 @@ class TestOptIn:
         assert result.report.total_time > 0
         # Observability is opt-in: nothing holds a tracer by default.
         assert framework.tracer is None
-        assert framework.gpu_model.tracer is None
-        assert framework.pim_executor.tracer is None
+        assert framework.metrics is None
 
     def test_default_path_records_zero_spans(self, blocks):
         program, degree = blocks
@@ -48,52 +54,71 @@ class TestOptIn:
         assert traced.transitions == plain.transitions
 
 
+def _total(registry, family, **match):
+    """Sum of ``family``'s samples whose labels include ``match``."""
+    return sum(sample["value"]
+               for sample in registry.get(family).snapshot_samples()
+               if all(sample["labels"][k] == v for k, v in match.items()))
+
+
 class TestTracedRun:
     @pytest.fixture(scope="class")
     def traced(self, blocks):
         program, degree = blocks
         tracer = Tracer()
+        registry = MetricsRegistry()
         framework = AnaheimFramework(A100_80GB, A100_NEAR_BANK,
-                                     tracer=tracer)
+                                     tracer=tracer, metrics=registry)
         report = framework.run(program, degree, label="traced").report
-        return tracer, report
+        return tracer, registry, report
 
     def test_framework_phases_spanned(self, traced):
-        tracer, _ = traced
+        tracer, _, _ = traced
         names = {s.name for s in tracer.spans}
         assert "framework.run" in names
         assert "framework.lower" in names
         assert "framework.schedule" in names
 
-    def test_lowering_passes_spanned_per_block_kind(self, traced):
-        tracer, _ = traced
-        assert tracer.find("lower.modup")
-        assert tracer.counters["lower.blocks"] > 0
-        assert tracer.counters["lower.kernels.gpu"] > 0
-        assert tracer.counters["lower.kernels.pim"] > 0
+    def test_tracer_only_times(self, traced):
+        tracer, _, _ = traced
+        assert tracer.spans
+        assert tracer.counters == {}
+
+    def test_lowering_passes_spanned_per_block_kind(self, blocks, traced):
+        program, _ = blocks
+        tracer, _, _ = traced
+        kinds = Counter(block.kind for block in program)
+        assert kinds["modup"] > 0
+        for kind, count in kinds.items():
+            assert len(tracer.find(f"lower.{kind}")) == count
+        lowered = [s for s in tracer.spans if s.name.startswith("lower.")]
+        assert len(lowered) == len(program)
 
     def test_scheduler_dispatch_spanned(self, traced):
-        tracer, report = traced
-        gpu_dispatches = [s for s in tracer.spans
-                          if s.name.startswith("dispatch.gpu.")]
-        pim_dispatches = [s for s in tracer.spans
-                          if s.name.startswith("dispatch.pim.")]
-        assert len(gpu_dispatches) == tracer.counters["scheduler.kernels.gpu"]
-        assert len(pim_dispatches) == tracer.counters["scheduler.kernels.pim"]
-        assert tracer.counters["scheduler.transitions"] == report.transitions
+        tracer, registry, report = traced
+        for device in ("gpu", "pim"):
+            spans = [s for s in tracer.spans
+                     if s.name.startswith(f"dispatch.{device}.")]
+            assert spans
+            assert len(spans) == _total(registry, "anaheim_kernels_total",
+                                        device=device)
+        assert report.transitions > 0
+        assert (_total(registry, "anaheim_transitions_total")
+                == report.transitions)
 
     def test_device_models_count_costings(self, traced):
-        tracer, report = traced
-        assert (tracer.counters["gpu.kernel_costs"]
-                == tracer.counters["scheduler.kernels.gpu"])
-        assert (tracer.counters["pim.kernel_costs"]
-                == tracer.counters["scheduler.kernels.pim"])
-        assert tracer.counters["pim.activations"] == report.pim_activations
-        assert tracer.counters["gpu.dram_bytes"] == pytest.approx(
-            report.gpu_dram_bytes)
+        tracer, registry, report = traced
+        gpu = [s for s in tracer.spans if s.name.startswith("dispatch.gpu.")]
+        pim = [s for s in tracer.spans if s.name.startswith("dispatch.pim.")]
+        assert len(gpu) == _total(registry, "anaheim_gpu_kernel_costs_total")
+        assert len(pim) == _total(registry, "anaheim_pim_instructions_total")
+        assert (_total(registry, "anaheim_pim_activations_total")
+                == report.pim_activations)
+        assert _total(registry, "anaheim_gpu_dram_bytes_total") == \
+            pytest.approx(report.gpu_dram_bytes)
 
     def test_spans_nest_under_framework_run(self, traced):
-        tracer, _ = traced
+        tracer, _, _ = traced
         (root,) = tracer.roots()
         assert root.name == "framework.run"
         assert all(s.duration >= 0 for s in tracer.spans)

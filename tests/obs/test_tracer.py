@@ -125,11 +125,17 @@ class TestRendering:
     def test_empty_tracer_renders_placeholder(self):
         tracer = Tracer()
         assert "no spans" in render_span_tree(tracer)
-        assert "no counters" in render_counters(tracer)
+        assert "no counters" in render_counters(tracer.counters)
 
     def test_counters_table(self):
         tracer = Tracer()
-        tracer.count("gpu.kernel_costs", 1234)
-        art = render_counters(tracer)
-        assert "gpu.kernel_costs" in art
+        tracer.count("ckks.batch_ntt.forward", 1234)
+        art = render_counters(tracer.counters)
+        assert "ckks.batch_ntt.forward" in art
         assert "1,234" in art
+
+    def test_counters_table_widens_for_long_names(self):
+        name = 'anaheim_kernels_total{device="gpu",category="automorphism"}'
+        lines = render_counters({name: 80, "short": 1}).splitlines()
+        assert lines[2].startswith(name + "  ")
+        assert len({len(line) for line in lines}) == 1

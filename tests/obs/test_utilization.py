@@ -1,5 +1,7 @@
 """Tests for the derived utilization accounting."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.framework import AnaheimFramework
@@ -44,7 +46,7 @@ class TestFromReport:
     def test_segments_and_aggregates_agree(self, gantt_report):
         """Deriving from segments or from aggregate times must match."""
         from_segments = UtilizationReport.from_report(gantt_report)
-        stripped = gantt_report.scaled(1.0)  # scaled() drops segments
+        stripped = dataclasses.replace(gantt_report, segments=[])
         assert not stripped.segments
         from_aggregates = UtilizationReport.from_report(stripped)
         for device in ("gpu", "pim"):

@@ -307,7 +307,9 @@ class TestProfile:
         assert "framework.run" in out
         assert "framework.schedule" in out
         assert "dispatch.pim.elementwise" in out
-        assert "scheduler.kernels.gpu" in out
+        # Counts come from the registry, under their exposition names.
+        assert 'anaheim_kernels_total{device="gpu",category="ntt"}' in out
+        assert "scheduler.kernels.gpu" not in out
         assert "self" in out  # profile columns
 
     def test_profile_trace_out(self, capsys, tmp_path):
@@ -317,6 +319,16 @@ class TestProfile:
         doc = json.loads(path.read_text())
         names = {e.get("name") for e in doc["traceEvents"]}
         assert "framework.run" in names
+
+    def test_functional_rejects_trace_out(self, capsys, tmp_path):
+        # The functional profile records counters and no spans, so a
+        # trace file would be empty: refuse the flag instead of exiting
+        # 0 with nothing written.
+        path = tmp_path / "profile.json"
+        assert main(["profile", "--workload", "functional",
+                     "--trace-out", str(path)]) == 1
+        assert "--trace-out" in capsys.readouterr().err
+        assert not path.exists()
 
 
 class TestMetricsCommand:
