@@ -4,7 +4,8 @@ The Anaheim programming interface promises "optimized routines for
 advanced features, such as linear algebra, arbitrary polynomial
 evaluation, and DNN support" (§V-C).  This module provides the linear
 algebra: packed-vector utilities (block sums, replication, masking),
-inner products, and matrix-vector products via the diagonal method.
+inner products, and the diagonals of block-diagonal operators that
+:class:`~repro.ckks.linear_transform.LinearTransform` multiplies by.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 import numpy as np
 
 from repro.ckks.cipher import Ciphertext
-from repro.ckks.linear_transform import LinearTransform
 from repro.errors import ParameterError
 
 
@@ -122,21 +122,6 @@ class EncryptedLinalg:
             return total
         return self.mask(total, range(0, self.slot_count, block))
 
-    def matvec(self, matrix: np.ndarray, x: Ciphertext,
-               method: str = "bsgs") -> Ciphertext:
-        """Dense matrix-vector product via the diagonal method.
-
-        ``matrix`` must be ``(N/2) x (N/2)`` (pad smaller operators into
-        the full slot space with :func:`embed_operator`).
-        """
-        transform = LinearTransform.from_matrix(self.evaluator, matrix)
-        return transform.apply(x, method)
-
-    def required_matvec_rotations(self, matrix: np.ndarray,
-                                  method: str = "bsgs") -> list:
-        transform = LinearTransform.from_matrix(self.evaluator, matrix)
-        return transform.required_rotations(method)
-
 
 def embed_operator(matrix: np.ndarray, slots: int,
                    replicate: bool = True) -> np.ndarray:
@@ -158,3 +143,33 @@ def embed_operator(matrix: np.ndarray, slots: int,
     else:
         out[:m, :n] = matrix
     return out
+
+
+def replicated_diagonals(matrix: np.ndarray, slots: int) -> dict:
+    """The nonzero diagonals of a square operator tiled over ``slots``.
+
+    Equal — same keys, bit-identical arrays — to
+    ``matrix_diagonals(embed_operator(matrix, slots))``, but read from
+    the ``block x block`` matrix alone: only the ``2*block - 1`` shifts
+    that stay inside a block can be nonzero, and every block repeats
+    the first one's diagonal, so the ``slots x slots`` operator is
+    never built.
+    """
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    block = matrix.shape[0]
+    if matrix.shape != (block, block):
+        raise ParameterError("operator must be square")
+    if block > slots or slots % block != 0:
+        raise ParameterError("block must divide the slot space")
+    rows = np.arange(block)
+    diagonals = {}
+    for shift in sorted({s % slots for s in range(1 - block, block)}):
+        # Row i of a block meets column (i + shift) mod slots of the
+        # same block exactly when that offset lands inside the block.
+        cols = (rows + shift) % slots
+        inside = cols < block
+        diag = np.zeros(block, dtype=np.complex128)
+        diag[inside] = matrix[rows[inside], cols[inside]]
+        if np.abs(diag).max() > 1e-12:    # matrix_diagonals' default
+            diagonals[shift] = np.tile(diag, slots // block)
+    return diagonals

@@ -153,13 +153,13 @@ class LinearTransform:
         return ev.rescale(acc)
 
     def _apply_minks(self, ct: Ciphertext) -> Ciphertext:
-        """Iterative rotation reusing the single distance-1 evk."""
+        """Iterative rotation reusing the single distance-1 evk.
+
+        MinKS walks rotation-by-rotation; gaps between the diagonal
+        indices are simply skipped (still only evk_1 is consumed).
+        """
         ev = self.evaluator
         shifts = sorted(self.diagonals)
-        if shifts and shifts != list(range(shifts[0], shifts[-1] + 1)):
-            # MinKS walks rotation-by-rotation; gaps are simply skipped
-            # (still only evk_1 is consumed).
-            pass
         acc = None
         state = ct
         position = 0

@@ -8,6 +8,11 @@ activations the paper's DNN workloads use [37], [64]).
 All samples of a batch pack into one ciphertext block-by-block; layers
 operate on every block simultaneously — the same packing discipline the
 evaluated CNN workloads rely on.
+
+The weights are fixed once a network is built, so :class:`EncryptedMlp`
+plans each layer once — the diagonal transform, the bias plaintexts
+and the activation's Chebyshev coefficients — and every inference
+reuses that plan, the preprocessed-plaintext discipline of §III-B.
 """
 
 from __future__ import annotations
@@ -16,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ckks.cipher import Ciphertext
-from repro.ckks.linalg import EncryptedLinalg, embed_operator
+from repro.ckks.cipher import Ciphertext, Plaintext
+from repro.ckks.linalg import replicated_diagonals
+from repro.ckks.linear_transform import LinearTransform
 from repro.ckks.polyeval import ChebyshevEvaluator, chebyshev_coefficients
 from repro.errors import ParameterError
 
@@ -30,8 +36,12 @@ class DenseLayer:
     bias: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        # Read-only copies: a network plans each layer from these once,
+        # so an in-place write would leave that plan silently stale.
+        self.weights = np.array(self.weights, dtype=np.float64)
+        self.bias = np.array(self.bias, dtype=np.float64)
+        self.weights.flags.writeable = False
+        self.bias.flags.writeable = False
         if self.weights.ndim != 2:
             raise ParameterError("weights must be a matrix")
         if self.bias.shape != (self.weights.shape[0],):
@@ -74,6 +84,37 @@ class Activation:
         return self.target()(np.clip(x, *self.interval))
 
 
+class _DensePlan:
+    """One dense layer's preprocessed operands, reused by every inference.
+
+    The transform's diagonals come straight from the ``block x block``
+    weights (the tiled ``slots x slots`` operator is never built) and it
+    caches their encodings itself; the bias is encoded once per
+    ``(scale, basis)`` it meets.
+    """
+
+    def __init__(self, evaluator, layer: DenseLayer, block: int):
+        slots = evaluator.params.slot_count
+        padded = np.zeros((block, block))
+        padded[:layer.out_features, :layer.in_features] = layer.weights
+        self.encoder = evaluator.encoder
+        self.transform = LinearTransform(
+            evaluator, replicated_diagonals(padded, slots))
+        self.bias = np.tile(np.pad(layer.bias,
+                                   (0, block - layer.out_features)),
+                            slots // block)
+        self._bias_plaintexts: dict = {}
+
+    def bias_plaintext(self, ct: Ciphertext) -> Plaintext:
+        key = (ct.scale, ct.basis)
+        plain = self._bias_plaintexts.get(key)
+        if plain is None:
+            plain = self.encoder.encode(self.bias, scale=ct.scale,
+                                        basis=ct.basis)
+            self._bias_plaintexts[key] = plain
+        return plain
+
+
 @dataclass
 class EncryptedMlp:
     """A small MLP evaluated homomorphically.
@@ -86,39 +127,36 @@ class EncryptedMlp:
     evaluator: object
     layers: list
     block: int
-    _transforms: dict = field(default_factory=dict, repr=False)
+    #: One plan per layer: a :class:`_DensePlan` or the activation's
+    #: Chebyshev coefficients.
+    _plans: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         if self.block & (self.block - 1) != 0:
             raise ParameterError("block must be a power of two")
+        self.chebyshev = ChebyshevEvaluator(self.evaluator)
         for layer in self.layers:
             if isinstance(layer, DenseLayer):
                 if max(layer.in_features, layer.out_features) > self.block:
                     raise ParameterError(
                         f"layer {layer.out_features}x{layer.in_features} "
                         f"exceeds block {self.block}")
-        self.linalg = EncryptedLinalg(self.evaluator)
-        self.chebyshev = ChebyshevEvaluator(self.evaluator)
+                plan = _DensePlan(self.evaluator, layer, self.block)
+            elif isinstance(layer, Activation):
+                plan = chebyshev_coefficients(
+                    layer.target(), layer.degree, layer.interval)
+            else:
+                raise ParameterError(f"unknown layer {type(layer).__name__}")
+            self._plans.append(plan)
 
     # -- Planning -------------------------------------------------------------------
 
     def required_rotations(self, method: str = "bsgs") -> list:
         needed = set()
-        for index, layer in enumerate(self.layers):
-            if isinstance(layer, DenseLayer):
-                matrix = self._operator(index, layer)
-                transform = self.linalg.required_matvec_rotations(
-                    matrix, method)
-                needed.update(transform)
+        for plan in self._plans:
+            if isinstance(plan, _DensePlan):
+                needed.update(plan.transform.required_rotations(method))
         return sorted(needed)
-
-    def _operator(self, index: int, layer: DenseLayer) -> np.ndarray:
-        if index not in self._transforms:
-            padded = np.zeros((self.block, self.block))
-            padded[:layer.out_features, :layer.in_features] = layer.weights
-            self._transforms[index] = embed_operator(
-                padded, self.evaluator.params.slot_count)
-        return self._transforms[index]
 
     def depth(self) -> int:
         """Multiplicative levels one inference consumes."""
@@ -152,22 +190,12 @@ class EncryptedMlp:
 
     def infer(self, ct: Ciphertext, method: str = "bsgs") -> Ciphertext:
         """Run the network on a packed, encrypted batch."""
-        for index, layer in enumerate(self.layers):
-            if isinstance(layer, DenseLayer):
-                matrix = self._operator(index, layer)
-                ct = self.linalg.matvec(matrix, ct, method=method)
-                bias = np.tile(
-                    np.pad(layer.bias, (0, self.block - layer.out_features)),
-                    self.evaluator.params.slot_count // self.block)
-                plain = self.evaluator.encoder.encode(bias, scale=ct.scale,
-                                                      basis=ct.basis)
-                ct = self.evaluator.add_plain(ct, plain)
-            elif isinstance(layer, Activation):
-                coeffs = chebyshev_coefficients(
-                    layer.target(), layer.degree, layer.interval)
-                ct = self.chebyshev.evaluate(ct, coeffs, layer.interval)
+        for layer, plan in zip(self.layers, self._plans):
+            if isinstance(plan, _DensePlan):
+                ct = plan.transform.apply(ct, method)
+                ct = self.evaluator.add_plain(ct, plan.bias_plaintext(ct))
             else:
-                raise ParameterError(f"unknown layer {type(layer).__name__}")
+                ct = self.chebyshev.evaluate(ct, plan, layer.interval)
         return ct
 
     def reference(self, batch: np.ndarray) -> np.ndarray:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.ckks import instrument
 from repro.ckks.evaluator import make_context
 from repro.ckks.keys import KeyGenerator
 from repro.ckks.nn import Activation, DenseLayer, EncryptedMlp
 from repro.errors import ParameterError
+from repro.obs.tracer import Tracer
 from repro.params import toy_params
 
 BLOCK = 8
@@ -48,6 +50,16 @@ class TestConstruction:
                          layers=[DenseLayer(weights=np.ones((16, 16)),
                                             bias=np.zeros(16))],
                          block=8)
+
+    def test_layer_arrays_are_read_only_copies(self):
+        weights, bias = np.ones((2, 3)), np.zeros(2)
+        layer = DenseLayer(weights=weights, bias=bias)
+        weights[0, 0] = 5.0
+        assert layer.weights[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            layer.weights[0, 0] = 2.0
+        with pytest.raises(ValueError):
+            layer.bias[0] = 2.0
 
     def test_unknown_activation(self):
         with pytest.raises(ParameterError):
@@ -114,3 +126,23 @@ class TestInference:
         ct = ctx.encrypt_message(mlp.pack(batch))
         got = mlp.unpack(ctx.decrypt_message(mlp.infer(ct)).real, 4, 4)
         assert np.abs(got - np.tanh(0.5 * batch)).max() < 2e-2
+
+    def test_warm_inference_encodes_no_diagonals(self, setup):
+        ctx, mlp, rng = setup
+        ct = ctx.encrypt_message(mlp.pack(0.5 * rng.normal(size=(4, 4))))
+        mlp.infer(ct)
+        tracer = Tracer()
+        old = instrument.get_tracer()
+        instrument.set_tracer(tracer)
+        try:
+            warm = mlp.infer(ct)
+        finally:
+            instrument.set_tracer(old)
+        assert tracer.counters.get("ckks.diag_cache.miss", 0) == 0
+        assert tracer.counters["ckks.diag_cache.hit"] > 0
+        # A freshly planned network (cold caches) computes the same limbs.
+        cold = EncryptedMlp(evaluator=ctx, layers=mlp.layers,
+                            block=BLOCK).infer(ct)
+        assert np.array_equal(warm.b.coeffs, cold.b.coeffs)
+        assert np.array_equal(warm.a.coeffs, cold.a.coeffs)
+        assert warm.scale == cold.scale
