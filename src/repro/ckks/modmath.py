@@ -197,44 +197,50 @@ def mod_mac(a: np.ndarray, b: np.ndarray, acc: np.ndarray, q: int) -> np.ndarray
 
 # ---------------------------------------------------------------------------
 # Allocation-free (``out=``-style) variants.  Same semantics as the pure
-# functions above, but every intermediate lands in caller-provided (or a
-# single bool) scratch — no ``np.where`` temporaries.  ``q`` may be a
-# scalar or any array broadcastable against ``out`` (e.g. the ``(L, 1)``
-# per-limb modulus column of an RNS matrix), which is what lets one call
-# process every limb of a polynomial at once.
+# functions above on canonical operands, computed straight into ``out``
+# with no mask and no ``np.where``.  Each correction is the branchless
+# unsigned fold ``r = min(r, r ∓ q)`` on ``uint64`` views: when no
+# correction is due, ``r ∓ q`` wraps past 2^64 (or lands above ``r``),
+# so ``min`` keeps ``r``.  Residues never exceed ``2^62``, so the
+# int64/uint64 reinterpretation is value-preserving.  ``a``, ``b`` and
+# ``out`` may be int64 or uint64 arrays and ``out`` may alias an
+# operand.  ``q`` may be a scalar or any array broadcastable against
+# ``out`` (e.g. the ``(L, 1)`` per-limb modulus column of an RNS
+# matrix), which is what lets one call process every limb of a
+# polynomial at once.
 # ---------------------------------------------------------------------------
 
-def _mask(out: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    return np.empty(out.shape, dtype=bool) if mask is None else mask
+def _u64(x):
+    """``uint64`` view of an array, or a ``uint64`` scalar."""
+    if isinstance(x, np.ndarray):
+        return x.view(np.uint64)
+    return np.uint64(x)
 
 
-def mod_add_into(a, b, q, out: np.ndarray,
-                 mask: np.ndarray | None = None) -> np.ndarray:
-    """``out[:] = (a + b) mod q`` with one conditional subtraction."""
-    mask = _mask(out, mask)
-    np.add(a, b, out=out)
-    np.greater_equal(out, q, out=mask)
-    np.subtract(out, q, out=out, where=mask)
+def mod_add_into(a, b, q, out: np.ndarray) -> np.ndarray:
+    """``out[:] = (a + b) mod q``: ``a + b`` folded by ``min(r, r − q)``."""
+    r = _u64(out)
+    np.add(_u64(a), _u64(b), out=r)
+    np.minimum(r, r - _u64(q), out=r)
     return out
 
 
-def mod_sub_into(a, b, q, out: np.ndarray,
-                 mask: np.ndarray | None = None) -> np.ndarray:
-    """``out[:] = (a - b) mod q`` with one conditional addition."""
-    mask = _mask(out, mask)
-    np.subtract(a, b, out=out)
-    np.less(out, 0, out=mask)
-    np.add(out, q, out=out, where=mask)
+def mod_sub_into(a, b, q, out: np.ndarray) -> np.ndarray:
+    """``out[:] = (a − b) mod q``: the wrapped ``a − b`` folded by
+    ``min(r, r + q)``."""
+    r = _u64(out)
+    np.subtract(_u64(a), _u64(b), out=r)
+    np.minimum(r, r + _u64(q), out=r)
     return out
 
 
-def mod_neg_into(a, q, out: np.ndarray,
-                 mask: np.ndarray | None = None) -> np.ndarray:
-    """``out[:] = (-a) mod q`` (safe when ``out`` aliases ``a``)."""
-    mask = _mask(out, mask)
-    np.not_equal(a, 0, out=mask)
-    np.subtract(q, a, out=out)
-    np.multiply(out, mask, out=out)
+def mod_neg_into(a, q, out: np.ndarray) -> np.ndarray:
+    """``out[:] = (-a) mod q``: ``q − a`` folded by ``min(r, r − q)``
+    (only ``a = 0`` gives ``r = q``, which folds to 0)."""
+    r = _u64(out)
+    qu = _u64(q)
+    np.subtract(qu, _u64(a), out=r)
+    np.minimum(r, r - qu, out=r)
     return out
 
 
@@ -242,18 +248,6 @@ def mod_mul_into(a, b, q, out: np.ndarray) -> np.ndarray:
     """``out[:] = (a * b) mod q`` — operands must be residues in [0, q)."""
     np.multiply(a, b, out=out)
     np.remainder(out, q, out=out)
-    return out
-
-
-def mod_mac_into(a, b, acc, q, out: np.ndarray,
-                 mask: np.ndarray | None = None) -> np.ndarray:
-    """``out[:] = (a * b + acc) mod q`` with a single ``%`` pass."""
-    mask = _mask(out, mask)
-    np.multiply(a, b, out=out)
-    np.remainder(out, q, out=out)
-    np.add(out, acc, out=out)
-    np.greater_equal(out, q, out=mask)
-    np.subtract(out, q, out=out, where=mask)
     return out
 
 
@@ -355,37 +349,15 @@ def shoup_mul_into(x, s, s_shoup, q, out: np.ndarray,
     return out
 
 
-def lazy_add_into(a, b, two_q, out: np.ndarray,
-                  mask: np.ndarray) -> np.ndarray:
-    """``out[:] = a + b`` folded into ``[0, 2q)`` (operands in
-    ``[0, 2q)``) — the deferred-correction butterfly add: one
-    conditional subtraction of ``2q``, never a ``%``."""
-    np.add(a, b, out=out)
-    np.greater_equal(out, two_q, out=mask)
-    np.subtract(out, two_q, out=out, where=mask)
-    return out
-
-
-def lazy_sub_into(a, b, two_q, out: np.ndarray,
-                  mask: np.ndarray) -> np.ndarray:
-    """``out[:] = a − b + 2q`` folded into ``[0, 2q)`` (uint64: the
-    transient wrap of ``a − b`` is cancelled exactly by ``+ 2q``)."""
-    np.subtract(a, b, out=out)
-    np.add(out, two_q, out=out)
-    np.greater_equal(out, two_q, out=mask)
-    np.subtract(out, two_q, out=out, where=mask)
-    return out
-
-
 def reduce_final(a, q) -> np.ndarray:
     """Map lazy values in ``[0, 2q)`` back to canonical ``[0, q)``."""
     return np.where(a >= q, a - q, a)
 
 
-def reduce_final_into(a, q, mask: np.ndarray) -> np.ndarray:
-    """In-place ``[0, 2q) → [0, q)``: one conditional subtraction."""
-    np.greater_equal(a, q, out=mask)
-    np.subtract(a, q, out=a, where=mask)
+def reduce_final_into(a, q) -> np.ndarray:
+    """In-place ``[0, 2q) → [0, q)``: the fold ``min(a, a − q)``."""
+    r = _u64(a)
+    np.minimum(r, r - _u64(q), out=r)
     return a
 
 
@@ -403,7 +375,7 @@ def shoup_mod_mul_into(x, s, s_shoup, q_col, out: np.ndarray) -> np.ndarray:
     qu = q_col.view(np.uint64)
     shoup_mul_into(x.view(np.uint64), s.view(np.uint64), s_shoup, qu,
                    out=ou, hi=np.empty(ou.shape, dtype=np.uint64))
-    reduce_final_into(ou, qu, np.empty(ou.shape, dtype=bool))
+    reduce_final_into(ou, qu)
     return out
 
 

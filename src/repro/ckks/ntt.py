@@ -322,15 +322,31 @@ def _inverse_lazy_ops(x, y, xs, ys, t1, t2, s_p, ssh_p, q, two_q,
     ]
 
 
+def _strict_add_sub_ops(x, y, u, v, q, mask) -> list:
+    """``x = (u + v) mod q`` and ``y = (u − v) mod q`` by masked
+    conditional corrections.
+
+    The strict arm is the reference the lazy path's speedup is measured
+    against, so it keeps this masked sequence rather than the
+    branchless folds of :func:`repro.ckks.modmath.mod_add_into`.
+    """
+    return [
+        lambda: np.add(u, v, out=x),
+        lambda: np.greater_equal(x, q, out=mask),
+        lambda: np.subtract(x, q, out=x, where=mask),
+        lambda: np.subtract(u, v, out=y),
+        lambda: np.less(y, 0, out=mask),
+        lambda: np.add(y, q, out=y, where=mask),
+    ]
+
+
 def _strict_ct_ops(x, y, s, q, u, v, mask) -> list:
     """Exact-``%`` CT butterfly — identical math to the per-limb oracle."""
     return [
         lambda: np.copyto(u, x),
         lambda: np.multiply(y, s, out=v),
         lambda: np.remainder(v, q, out=v),
-        lambda: modmath.mod_add_into(u, v, q, out=x, mask=mask),
-        lambda: modmath.mod_sub_into(u, v, q, out=y, mask=mask),
-    ]
+    ] + _strict_add_sub_ops(x, y, u, v, q, mask)
 
 
 def _strict_gs_ops(x, y, s, q, u, v, mask) -> list:
@@ -338,8 +354,7 @@ def _strict_gs_ops(x, y, s, q, u, v, mask) -> list:
     return [
         lambda: np.copyto(u, x),
         lambda: np.copyto(v, y),
-        lambda: modmath.mod_add_into(u, v, q, out=x, mask=mask),
-        lambda: modmath.mod_sub_into(u, v, q, out=y, mask=mask),
+    ] + _strict_add_sub_ops(x, y, u, v, q, mask) + [
         lambda: np.multiply(y, s, out=y),
         lambda: np.remainder(y, q, out=y),
     ]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.ckks import modmath
 from repro.ckks.automorphism import (apply_automorphism, conjugation_element,
@@ -11,6 +13,13 @@ from repro.errors import ParameterError
 
 N = 64
 BASIS = tuple(modmath.generate_primes(2, N, bits=26))
+
+
+#: NTT-friendly up to N = 2^11 (so for every smaller degree too), with
+#: 26-, 28- and 31-bit primes; the 31-bit one is above 2^30.
+MIXED_BASIS = (tuple(modmath.generate_primes(2, 2048, bits=26))
+               + tuple(modmath.generate_primes(2, 2048, bits=28))
+               + tuple(modmath.generate_primes(1, 2048, bits=31)))
 
 
 def _random_poly(seed):
@@ -70,8 +79,9 @@ class TestApplyAutomorphism:
 
     def test_even_galois_rejected(self):
         p = _random_poly(3)
-        with pytest.raises(ParameterError):
-            apply_automorphism(p, 2)
+        for poly in (p, p.to_ntt()):
+            with pytest.raises(ParameterError):
+                apply_automorphism(poly, 2)
 
     def test_preserves_domain_flag(self):
         p = _random_poly(4).to_ntt()
@@ -97,3 +107,40 @@ class TestApplyAutomorphism:
                             scale=pt.scale)
         got = enc.decode(rotated)
         assert np.abs(got - np.roll(u, -3)).max() < 1e-5
+
+
+@st.composite
+def ntt_cases(draw):
+    """(polynomial, Galois element) over degrees 2^4–2^11 and a random
+    limb subset of the mixed basis."""
+    degree = 1 << draw(st.integers(4, 11))
+    basis = tuple(draw(st.lists(st.sampled_from(MIXED_BASIS), min_size=1,
+                                max_size=len(MIXED_BASIS), unique=True)))
+    galois = draw(st.one_of(
+        st.integers(0, degree).map(lambda r: galois_element(r, degree)),
+        st.just(conjugation_element(degree))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return RnsPolynomial.random_uniform(degree, basis, rng,
+                                        is_ntt=False), galois
+
+
+class TestNttDomainPermutation:
+    """The evaluation-domain gather against the coefficient-domain
+    oracle: ``φ_g(p.to_ntt()) == φ_g(p).to_ntt()``, bit for bit."""
+
+    @given(ntt_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_coefficient_oracle(self, case):
+        p, g = case
+        ntt = p.to_ntt()
+        got = apply_automorphism(ntt, g)
+        want = apply_automorphism(ntt.from_ntt(), g).to_ntt()
+        assert got.is_ntt and got.basis == p.basis
+        assert np.array_equal(got.coeffs, want.coeffs)
+
+    def test_does_not_alias_its_input(self):
+        p = _random_poly(6).to_ntt()
+        before = p.coeffs.copy()
+        out = apply_automorphism(p, 5)
+        out.coeffs[:] = 0
+        assert np.array_equal(p.coeffs, before)

@@ -181,10 +181,6 @@ class TestIntoVariants:
                 modmath.mod_mul_into(a, b, q, out), modmath.mod_mul(a, b, q))
             assert np.array_equal(
                 modmath.mod_neg_into(a, q, out), modmath.mod_neg(a, q))
-            acc = self.rng.integers(0, q, size=64, dtype=np.int64)
-            assert np.array_equal(
-                modmath.mod_mac_into(a, b, acc, q, out),
-                modmath.mod_mac(a, b, acc, q))
 
     def test_column_modulus_broadcast(self):
         """(L, 1) per-limb moduli — the batched engine's layout."""
@@ -216,14 +212,13 @@ class TestIntoVariants:
         modmath.mod_neg_into(a2, q, out=a2)
         assert np.array_equal(a2, expect_neg)
 
-    def test_explicit_mask_reuse(self):
+    def test_out_buffer_reuse(self):
         q = BOUNDARY_PRIME
         a, b = self.pair(q)
         out = np.empty_like(a)
-        mask = np.empty(a.shape, dtype=bool)
-        modmath.mod_add_into(a, b, q, out, mask=mask)
+        modmath.mod_add_into(a, b, q, out)
         assert np.array_equal(out, modmath.mod_add(a, b, q))
-        modmath.mod_sub_into(a, b, q, out, mask=mask)
+        modmath.mod_sub_into(a, b, q, out)
         assert np.array_equal(out, modmath.mod_sub(a, b, q))
 
     def test_boundary_values_into(self):
@@ -233,6 +228,118 @@ class TestIntoVariants:
         out = np.empty_like(a)
         assert modmath.mod_add_into(a, b, q, out).tolist() == [q - 2] * 8
         assert modmath.mod_mul_into(a, b, q, out).tolist() == [1] * 8
+
+
+#: 20-, 28- and 31-bit primes: the fold must hold up to the widest
+#: prime the int64 argument admits.
+FOLD_PRIMES = (modmath.generate_primes(1, 64, bits=20)[0],
+               modmath.generate_primes(1, 64, bits=28)[0],
+               BOUNDARY_PRIME)
+
+
+@st.composite
+def fold_operands(draw):
+    """Canonical ``(L, n)`` operands over a prime column, biased to the
+    ``0`` / ``q − 1`` edges where a correction is (or just is not) due."""
+    primes = draw(st.lists(st.sampled_from(FOLD_PRIMES), min_size=1,
+                           max_size=3))
+    width = draw(st.integers(1, 16))
+
+    def row(q):
+        values = st.one_of(st.integers(0, q - 1),
+                           st.sampled_from((0, 1, q - 2, q - 1)))
+        return draw(st.lists(values, min_size=width, max_size=width))
+
+    a = np.array([row(q) for q in primes], dtype=np.int64)
+    b = np.array([row(q) for q in primes], dtype=np.int64)
+    return np.array(primes, dtype=np.int64).reshape(-1, 1), a, b
+
+
+def _reference(fn, a, b, q_col):
+    return np.stack([fn(a[i], b[i], int(q)) for i, q in
+                     enumerate(q_col[:, 0])])
+
+
+class TestFoldKernels:
+    """The branchless ``min(r, r ∓ q)`` kernels against the pure
+    ``np.where`` functions, bit for bit."""
+
+    KERNELS = ((modmath.mod_add_into, modmath.mod_add),
+               (modmath.mod_sub_into, modmath.mod_sub))
+
+    @given(fold_operands(), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_add_sub_match_pure(self, data, column):
+        q_col, a, b = data
+        for into, pure in self.KERNELS:
+            expect = _reference(pure, a, b, q_col)
+            if column:
+                got = into(a, b, q_col, np.empty_like(a))
+            else:
+                # A scalar modulus, one limb row at a time.
+                got = np.stack([into(a[i], b[i], int(q),
+                                     np.empty_like(a[i]))
+                                for i, q in enumerate(q_col[:, 0])])
+            assert got.dtype == np.int64
+            assert np.array_equal(got, expect)
+
+    @given(fold_operands())
+    @settings(max_examples=40, deadline=None)
+    def test_uint64_views_match_int64(self, data):
+        q_col, a, b = data
+        for into, pure in self.KERNELS:
+            out = np.empty(a.shape, dtype=np.uint64)
+            got = into(a.view(np.uint64), b.view(np.uint64),
+                       q_col.view(np.uint64), out)
+            assert got is out
+            assert np.array_equal(got.view(np.int64),
+                                  _reference(pure, a, b, q_col))
+
+    @given(fold_operands())
+    @settings(max_examples=40, deadline=None)
+    def test_out_aliases_either_operand(self, data):
+        q_col, a, b = data
+        for into, pure in self.KERNELS:
+            expect = _reference(pure, a, b, q_col)
+            left, right = a.copy(), b.copy()
+            assert into(left, b, q_col, out=left) is left
+            assert np.array_equal(left, expect)
+            assert into(a, right, q_col, out=right) is right
+            assert np.array_equal(right, expect)
+
+    @given(fold_operands())
+    @settings(max_examples=40, deadline=None)
+    def test_neg_matches_pure(self, data):
+        q_col, a, _ = data
+        expect = np.stack([modmath.mod_neg(a[i], int(q))
+                           for i, q in enumerate(q_col[:, 0])])
+        assert np.array_equal(
+            modmath.mod_neg_into(a, q_col, np.empty_like(a)), expect)
+
+    @given(fold_operands(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_reduce_final_matches_pure(self, data, as_uint64):
+        # a + b of canonical operands spans the lazy range [0, 2q − 1).
+        q_col, a, b = data
+        lazy = a + b
+        expect = np.stack([modmath.reduce_final(lazy[i], int(q))
+                           for i, q in enumerate(q_col[:, 0])])
+        buf = lazy.view(np.uint64) if as_uint64 else lazy
+        assert modmath.reduce_final_into(buf, q_col) is buf
+        assert np.array_equal(lazy, expect)
+
+    def test_31_bit_boundary(self):
+        q = BOUNDARY_PRIME
+        top = np.full(4, q - 1, dtype=np.int64)
+        zero = np.zeros(4, dtype=np.int64)
+        out = np.empty_like(top)
+        assert modmath.mod_add_into(top, top, q, out).tolist() == [q - 2] * 4
+        assert modmath.mod_sub_into(zero, top, q, out).tolist() == [1] * 4
+        assert modmath.mod_sub_into(top, zero, q, out).tolist() == [q - 1] * 4
+        assert modmath.mod_neg_into(zero, q, out).tolist() == [0] * 4
+        lazy = np.array([0, q - 1, q, 2 * q - 2], dtype=np.int64)
+        assert modmath.reduce_final_into(lazy, q).tolist() == [
+            0, q - 1, 0, q - 2]
 
 
 class TestMontgomery:
