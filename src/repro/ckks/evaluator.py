@@ -85,8 +85,7 @@ class CkksEvaluator:
         b, a, scale = ct.b, ct.a, ct.scale
         for _ in range(steps):
             scale /= b.basis[-1]
-            b = rescale_poly(b)
-            a = rescale_poly(a)
+            b, a = rescale_poly((b, a))
         return Ciphertext(b=b, a=a, scale=scale)
 
     def drop_to_basis(self, ct: Ciphertext, basis: tuple) -> Ciphertext:

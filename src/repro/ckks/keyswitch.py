@@ -13,6 +13,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -89,6 +90,12 @@ def basis_convert(poly: RnsPolynomial, dst_basis: tuple) -> RnsPolynomial:
     the paper notes (§II-B).  A floating-point correction recovers the
     centered representative, so inputs with centered magnitude below
     ``Q_src / 2`` convert exactly.
+
+    ``poly`` may stack several same-basis polynomials as ``(P, |src|,
+    N)`` planes (:meth:`RnsPolynomial.stack`); the conversion is one
+    call over all of them.  BConv acts on each coefficient column
+    independently, so every plane comes out bit-identical to
+    converting it alone.
     """
     if poly.is_ntt:
         raise ParameterError("BConv requires coefficient-domain input")
@@ -103,43 +110,58 @@ def basis_convert(poly: RnsPolynomial, dst_basis: tuple) -> RnsPolynomial:
     # The uncorrected sum equals x + u * Q_src with u = round(sum y_i/q_i)
     # for centered x; subtract u * Q_src to recenter.  Summed limb by
     # limb to keep the float rounding identical to the reference.
-    frac = np.zeros(poly.degree, dtype=np.float64)
+    lead = y.shape[:-2]
+    frac = np.zeros(lead + (poly.degree,), dtype=np.float64)
     for i, q in enumerate(src_basis):
-        frac += y[i] / q
+        frac += y[..., i, :] / q
     u = np.round(frac).astype(np.int64)
     # acc[j] = Σ_i y_i · (Q̂_i mod p_j): a (|dst| × |src|) @ (|src| × N)
-    # product.  Every term is below max(q)·max(p) < 2^62, so instead of
-    # reducing after each limb we accumulate `chunk` limbs at a time in
-    # int64 and reduce once per chunk.  Destination rows are mutually
-    # independent, so the product is split into contiguous row blocks
-    # across the kernel thread pool; each block runs the exact per-row
-    # operation sequence of the serial loop, keeping the result
+    # product per plane.  Every term is below max(q)·max(p) < 2^62, so
+    # instead of reducing after each limb we accumulate `chunk` limbs at
+    # a time in int64 and reduce once per chunk.  Destination rows are
+    # mutually independent, so the product is split into contiguous row
+    # blocks across the kernel thread pool; each block runs the exact
+    # per-row operation sequence of the serial loop, keeping the result
     # bit-identical for any thread count.
     dst_col = modulus_column(dst_basis)
     max_term = (max(src_basis) - 1) * (max(dst_basis) - 1)
     headroom = (1 << 63) - 1 - (max(dst_basis) - 1)
     chunk = max(1, headroom // max_term)
-    acc = np.zeros((len(dst_basis), poly.degree), dtype=np.int64)
+    acc = np.zeros(lead + (len(dst_basis), poly.degree), dtype=np.int64)
     starts = range(0, len(src_basis), chunk)
     instrument.count("ckks.bconv.chunks", len(starts))
 
     def accumulate(lo: int, hi: int) -> None:
-        rows = acc[lo:hi]
+        rows = acc[..., lo:hi, :]
         col = dst_col[lo:hi]
         for start in starts:
             stop = start + chunk
-            np.add(rows, q_hat_mod[start:stop, lo:hi].T @ y[start:stop],
-                   out=rows)
+            np.add(rows, q_hat_mod[start:stop, lo:hi].T
+                   @ y[..., start:stop, :], out=rows)
             np.remainder(rows, col, out=rows)
 
     if limb_threads.run_blocks(len(dst_basis), accumulate) > 1:
         instrument.count("ckks.bconv.threaded")
     # u is a small non-negative integer (< |src|), so u·(Q_src mod p)
     # stays far below the int64 bound before its reduction.
-    corr = np.multiply(u[None, :], src_prod_mod.reshape(-1, 1))
+    corr = np.multiply(u[..., None, :], src_prod_mod.reshape(-1, 1))
     np.remainder(corr, dst_col, out=corr)
     modmath.mod_sub_into(acc, corr, dst_col, out=acc)
     return RnsPolynomial(acc, dst_basis, is_ntt=False)
+
+
+def _convert_stacked(polys: Sequence[RnsPolynomial], src_basis: tuple,
+                     dst_basis: tuple) -> RnsPolynomial:
+    """``src_basis`` rows of every poly → ``dst_basis``, in one pass.
+
+    The rows are stacked as ``(P, |src|, N)`` planes, so the whole
+    group runs one INTT, one BConv and (for NTT inputs) one NTT — the
+    calls the paper fuses as BasicFuse (§V).  Returns the stacked
+    result in the inputs' domain.
+    """
+    stacked = RnsPolynomial.stack(polys, src_basis)
+    converted = basis_convert(stacked.from_ntt(), dst_basis)
+    return converted.to_ntt() if stacked.is_ntt else converted
 
 
 @dataclass(frozen=True)
@@ -203,33 +225,43 @@ def mod_up(poly: RnsPolynomial, group: tuple, target_basis: tuple,
     return combined.restrict(target_basis)
 
 
-def mod_down(poly: RnsPolynomial, moduli: tuple,
-             aux_moduli: tuple) -> RnsPolynomial:
-    """ModDown: divide a PQ-basis polynomial by P, returning basis Q.
+def mod_down(polys: Sequence[RnsPolynomial], moduli: tuple,
+             aux_moduli: tuple) -> list:
+    """ModDown: divide PQ-basis polynomials by P, returning basis Q.
 
-    The final per-limb step ``x = P^{-1} · (a - b)`` is the PIM
-    ``ModDownEp`` instruction (Table II).
+    ``polys`` are NTT-applied polynomials over one PQ basis — a key
+    switch passes its ``b`` and ``a`` accumulators together, so their P
+    parts share one INTT → BConv → NTT pass.  Returns one polynomial
+    per input, each bit-identical to converting it alone.  The final
+    per-limb step ``x = P^{-1} · (a - b)`` is the PIM ``ModDownEp``
+    instruction (Table II); it runs per polynomial, in input order.
     """
-    q_part = poly.restrict(moduli)
-    p_part = poly.restrict(aux_moduli)
-    p_in_q = basis_convert(p_part.from_ntt(), moduli).to_ntt()
+    p_in_q = _convert_stacked(polys, aux_moduli, moduli).planes()
     p_prod = basis_product(aux_moduli)
     inv_p = [modmath.mod_inverse(p_prod % q, q) for q in moduli]
-    return (q_part - p_in_q).scalar_mul(inv_p)
+    return [(poly.restrict(moduli) - part).scalar_mul(inv_p)
+            for poly, part in zip(polys, p_in_q)]
 
 
-def rescale_poly(poly: RnsPolynomial) -> RnsPolynomial:
-    """Divide by the last prime of the basis and drop its limb."""
-    if poly.limb_count < 2:
+def rescale_poly(polys: Sequence[RnsPolynomial]) -> list:
+    """Divide each polynomial by the last prime of its basis and drop
+    that limb.
+
+    ``polys`` share one basis and domain (a ciphertext's ``b`` and
+    ``a``); their last limbs share one INTT → BConv (→ NTT) pass.
+    Returns one polynomial per input, each bit-identical to rescaling
+    it alone; the subtract-and-scale step runs per polynomial, in input
+    order.
+    """
+    first = polys[0]
+    if first.limb_count < 2:
         raise ParameterError("cannot rescale a single-limb polynomial")
-    last = poly.basis[-1]
-    kept = poly.basis[:-1]
-    last_limb = poly.restrict((last,))
-    last_in_kept = basis_convert(last_limb.from_ntt(), kept)
-    if poly.is_ntt:
-        last_in_kept = last_in_kept.to_ntt()
+    last = first.basis[-1]
+    kept = first.basis[:-1]
+    last_in_kept = _convert_stacked(polys, (last,), kept).planes()
     inv = [modmath.mod_inverse(last % q, q) for q in kept]
-    return (poly.restrict(kept) - last_in_kept).scalar_mul(inv)
+    return [(poly.restrict(kept) - part).scalar_mul(inv)
+            for poly, part in zip(polys, last_in_kept)]
 
 
 def key_mult(digits: list, evk) -> tuple:
@@ -291,6 +323,5 @@ def key_switch(poly: RnsPolynomial, evk, decomp: DigitDecomposition) -> tuple:
         term_a = digit * evk_a
         acc_b = term_b if acc_b is None else acc_b + term_b
         acc_a = term_a if acc_a is None else acc_a + term_a
-    b = mod_down(acc_b, poly.basis, decomp.aux_moduli)
-    a = mod_down(acc_a, poly.basis, decomp.aux_moduli)
+    b, a = mod_down((acc_b, acc_a), poly.basis, decomp.aux_moduli)
     return b, a

@@ -237,8 +237,8 @@ class LinearTransform:
         p_scale = self.evaluator.params.scale
         out_scale = ct.scale * p_scale
         if acc_b_pq is not None:
-            down_b = mod_down(acc_b_pq, ct.basis, ev.decomp.aux_moduli)
-            down_a = mod_down(acc_a_pq, ct.basis, ev.decomp.aux_moduli)
+            down_b, down_a = mod_down((acc_b_pq, acc_a_pq), ct.basis,
+                                      ev.decomp.aux_moduli)
             acc_b_q = down_b if acc_b_q is None else acc_b_q + down_b
             acc_a_q = down_a if acc_a_q is None else acc_a_q + down_a
         result = Ciphertext(b=acc_b_q, a=acc_a_q, scale=out_scale)

@@ -412,9 +412,17 @@ class BatchNttContext:
     count (the property tests assert this).
 
     Each distinct (transform, shape, row block, path) combination is
-    compiled once into an execution *plan* — a work buffer plus a flat
-    list of ufunc closures over pre-sliced views — so the per-call hot
-    loop does no reshaping, slicing, or Python-level bookkeeping.
+    compiled once into an execution *plan* — a flat list of ufunc
+    closures over pre-sliced views of the thread's work buffers — so
+    the per-call hot loop does no reshaping, slicing, or Python-level
+    bookkeeping.
+
+    Inputs may stack several polynomials over the basis as ``(..., L,
+    N)`` planes; the engine's rescale and ModDown pass a ciphertext's
+    ``b`` and ``a`` through one call this way, halving their calls.
+    A row block's lane-expanded twiddles and moduli are built once and
+    shared by its plans of every leading shape, so a stacked plan adds
+    only its own work and staging buffers.
     """
 
     #: Bound on cached execution plans per context.
@@ -445,16 +453,21 @@ class BatchNttContext:
         self._scratch: dict = {}
         self._scratch_lock = threading.Lock()
         self._plans: OrderedDict = OrderedDict()
+        self._lanes: dict = {}
 
     def _buffers(self, shape: tuple):
-        """(u, v, mask) scratch of ``shape``, reused across calls.
+        """``(work, staging)`` buffers of a ``(..., Lb, N)`` row block,
+        reused across calls.
 
-        Keyed per **thread** as well as per shape: the threaded path
-        runs one butterfly block per pool thread, and scratch slabs
-        are written concurrently — a shared slab would race.  Pool
-        threads are long-lived, so each thread's slabs are reused
-        across calls just like the serial path's.  The strict ``%``
-        butterflies stage their operands here.
+        ``work`` (int64, ``shape``) holds the block while its passes
+        run; ``staging`` is four contiguous uint64 lane buffers of
+        ``(..., Lb, N/2)``.  Keyed per **thread** as well as per shape:
+        the threaded path runs one butterfly block per pool thread, and
+        the buffers are written concurrently — a shared set would race.
+        A thread runs one transform at a time, so its forward and
+        inverse plans of one shape share the set; pool threads are
+        long-lived, so it is reused across calls just like the serial
+        path's.
         """
         key = (threading.get_ident(), shape)
         with self._scratch_lock:
@@ -464,9 +477,9 @@ class BatchNttContext:
             else:
                 instrument.count("ckks.scratch.hit")
         if buffers is None:
+            half = shape[:-1] + (self.degree // 2,)
             buffers = (np.empty(shape, dtype=np.int64),
-                       np.empty(shape, dtype=np.int64),
-                       np.empty(shape, dtype=bool))
+                       np.empty((4,) + half, dtype=np.uint64))
             with self._scratch_lock:
                 self._scratch[key] = buffers
         return buffers
@@ -493,14 +506,14 @@ class BatchNttContext:
         return _owned_copy(array), lazy
 
     def _plan(self, kind: str, shape: tuple, rlo: int, lazy: bool,
-              slabs: tuple):
+              buffers: tuple) -> list:
         key = (threading.get_ident(), kind, shape, rlo, lazy)
         with self._scratch_lock:
             plan = self._plans.get(key)
             if plan is not None:
                 self._plans.move_to_end(key)
         if plan is None:
-            plan = self._build_plan(kind, shape, rlo, lazy, slabs)
+            plan = self._build_plan(kind, shape, rlo, lazy, buffers)
             with self._scratch_lock:
                 self._plans[key] = plan
                 self._plans.move_to_end(key)
@@ -509,17 +522,17 @@ class BatchNttContext:
         return plan
 
     def _build_plan(self, kind: str, shape: tuple, rlo: int, lazy: bool,
-                    slabs: tuple):
-        """Compile one transform into (work buffer, closure list).
+                    buffers: tuple) -> list:
+        """Compile one transform into a closure list.
 
         ``shape`` is the row block's ``(..., Lb, N)`` shape, ``rlo`` its
         first absolute limb row, ``lazy`` the butterfly path, and
-        ``slabs`` the :meth:`_buffers` scratch for its shape — the same
+        ``buffers`` the :meth:`_buffers` set for its shape — the same
         objects on every later call (``_buffers`` never replaces an
         entry), so the compiled views stay valid.
         """
         n = self.degree
-        w = np.empty(shape, dtype=np.int64)
+        w, staging = buffers
         rows = slice(rlo, rlo + shape[-2])
         forward = kind == "forward"
         stages = []
@@ -536,35 +549,63 @@ class BatchNttContext:
                 stages.append((m, t))
                 t *= 2
         if lazy:
-            return w, self._lazy_ops(w, forward, rows, stages)
-        return w, self._strict_ops(w, forward, rows, stages, slabs)
+            return self._lazy_ops(w, staging, forward, rows, stages)
+        return self._strict_ops(w, staging, forward, rows, stages)
 
-    def _lazy_ops(self, w: np.ndarray, forward: bool, rows: slice,
-                  stages: list) -> list:
+    def _lane_table(self, key: tuple, build):
+        """A read-only lane table of one row block, built once.
+
+        Shared by the plans of every thread and leading shape: each
+        ``(Lb, N/2)`` table broadcasts over any stack of limb planes,
+        so a stacked plan adds only its own work and staging buffers.
+        """
+        with self._scratch_lock:
+            table = self._lanes.get(key)
+        if table is None:
+            table = build()
+            for plane in table:
+                plane.flags.writeable = False
+            with self._scratch_lock:
+                table = self._lanes.setdefault(key, table)
+        return table
+
+    def _lazy_ops(self, w: np.ndarray, staging: np.ndarray, forward: bool,
+                  rows: slice, stages: list) -> list:
         """Harvey butterfly passes plus the canonicalizing epilogue."""
         wu = w.view(np.uint64)
         lead, limbs = w.shape[:-2], w.shape[-2]
+        half_n = self.degree // 2
         q_u = self.q_col[rows].view(np.uint64)
         two_q_u = self.two_q_col[rows].view(np.uint64)
+        # The moduli and twiddles expanded to one value per lane: a
+        # same-shape ufunc operand takes numpy's contiguous fast path,
+        # where an (Lb, 1) column or an (Lb, m, 1) twiddle block would
+        # go through the slower broadcasting iterator on every pass.
+        q_lane, two_q_lane = self._lane_table(
+            ("moduli", rows.start, rows.stop),
+            lambda: (np.repeat(q_u, half_n, axis=1),
+                     np.repeat(two_q_u, half_n, axis=1)))
         psis_u = (self.psis if forward else self.inv_psis)[rows].view(
             np.uint64)
         shoup = (self.psis_shoup if forward else self.inv_psis_shoup)[rows]
+        # Each of the m twiddles of a pass repeats across its t-run.
+        twiddles = self._lane_table(
+            (forward, rows.start, rows.stop),
+            lambda: [np.repeat(table[:, m:2 * m], t, axis=1)
+                     for m, t in stages for table in (psis_u, shoup)])
         wide = max(self.basis[rows]) >= _WIDE_PRIME
-        # Contiguous uint64 staging shared by all passes of the plan
-        # (each pass moves limbs·N/2 lane values).
-        xs, ys, t1, t2 = (np.empty(lead + (limbs, self.degree // 2),
-                                   dtype=np.uint64) for _ in range(4))
+        # Contiguous uint64 staging shared by all passes (each pass
+        # moves limbs·N/2 lane values); its first two buffers double as
+        # the epilogue's full-width scratch.
+        xs, ys, t1, t2 = staging
         ops: list = []
-        for m, t in stages:
+        for i, (m, t) in enumerate(stages):
             bu = wu.reshape(lead + (limbs, m, 2, t))
             lane = lead + (limbs, m, t)
-            # One twiddle per lane: each of the m twiddles repeats
-            # across its t-element pair run.
             common = dict(
                 x=bu[..., 0, :], y=bu[..., 1, :], xs=xs, ys=ys, t1=t1,
-                s_p=np.repeat(psis_u[:, m:2 * m], t, axis=1),
-                ssh_p=np.repeat(shoup[:, m:2 * m], t, axis=1),
-                q=q_u, two_q=two_q_u, xs_v=xs.reshape(lane),
+                s_p=twiddles[2 * i], ssh_p=twiddles[2 * i + 1], q=q_lane,
+                two_q=two_q_lane, xs_v=xs.reshape(lane),
                 ys_v=ys.reshape(lane), wide=wide)
             if forward:
                 ops += _forward_lazy_ops(t1_v=t1.reshape(lane), **common)
@@ -572,18 +613,20 @@ class BatchNttContext:
                 ops += _inverse_lazy_ops(t2=t2, **common)
         # Epilogue: fold to canonical [0, q); the inverse additionally
         # scales every row by N^{-1}.
-        scr = np.empty(w.shape, dtype=np.uint64)
+        scr = staging[:2].reshape(w.shape)
         if forward:
             return ops + _forward_fold_ops(wu, scr, q_u, two_q_u)
         return ops + _ninv_lazy_ops(
             wu, scr, self.n_inv_col[rows].view(np.uint64),
             self.n_inv_shoup_col[rows], q_u)
 
-    def _strict_ops(self, w: np.ndarray, forward: bool, rows: slice,
-                    stages: list, slabs: tuple) -> list:
-        """Exact-``%`` butterfly passes (the ``lazy_scope(False)`` arm)."""
+    def _strict_ops(self, w: np.ndarray, staging: np.ndarray,
+                    forward: bool, rows: slice, stages: list) -> list:
+        """Exact-``%`` butterfly passes (the ``lazy_scope(False)`` arm),
+        staging their operands in the lane buffers."""
         lead, limbs = w.shape[:-2], w.shape[-2]
-        u_buf, v_buf, mask_buf = slabs
+        u_buf, v_buf = staging[0].view(np.int64), staging[1].view(np.int64)
+        mask_buf = np.empty(staging.shape[1:], dtype=bool)
         psis = (self.psis if forward else self.inv_psis)[rows]
         q3 = self.q_col[rows].reshape(limbs, 1, 1)
         build = _strict_ct_ops if forward else _strict_gs_ops
@@ -604,9 +647,9 @@ class BatchNttContext:
              lazy: bool) -> None:
         """Transform limb rows ``[rlo, rhi)`` of ``a`` in place."""
         rows = a[..., rlo:rhi, :]
-        slabs = self._buffers(rows.shape[:-2] + (rhi - rlo,
-                                                 self.degree // 2))
-        w, ops = self._plan(kind, rows.shape, rlo, lazy, slabs)
+        buffers = self._buffers(rows.shape)
+        ops = self._plan(kind, rows.shape, rlo, lazy, buffers)
+        w = buffers[0]
         np.copyto(w, rows)
         for op in ops:
             op()
@@ -614,23 +657,22 @@ class BatchNttContext:
 
     def _transform(self, values: np.ndarray, kind: str) -> np.ndarray:
         a, lazy = self._prepare(values, kind)
-        if a.ndim == 2:
-            def work(lo: int, hi: int) -> None:
-                self._run(a, kind, lo, hi, lazy)
-            if limb_threads.run_blocks(len(self.basis), work) > 1:
-                instrument.count("ckks.batch_ntt.threaded")
-        else:
-            self._run(a, kind, 0, len(self.basis), lazy)
+
+        def work(lo: int, hi: int) -> None:
+            self._run(a, kind, lo, hi, lazy)
+        if limb_threads.run_blocks(len(self.basis), work) > 1:
+            instrument.count("ckks.batch_ntt.threaded")
         return a
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Negacyclic NTT of every limb plane (axes ``(..., L, N)``).
 
-        2-D ``(L, N)`` inputs — the hot path from the RNS layer — split
-        their limb rows into contiguous blocks across the shared thread
-        pool; higher-rank inputs run serially (their first-axis row
-        slices are not limb planes, and middle-axis slices are not
-        contiguous views).
+        Leading axes stack polynomials over this basis (a ciphertext's
+        ``b`` and ``a`` as ``(2, L, N)``), so one call transforms all
+        of them.  At any rank the limb rows split into contiguous
+        blocks across the shared thread pool: each block copies its
+        rows of every plane into its thread's work buffer, so a
+        non-contiguous block view costs one copy in and one out.
         """
         return self._transform(coeffs, "forward")
 

@@ -4,12 +4,18 @@ A polynomial ``a ∈ R_Q`` is stored as an ``(L, N)`` ``int64`` matrix of
 residues — one row (limb) per prime of the RNS basis, exactly the view
 the paper uses (§II-A).  Polynomials can live in coefficient or NTT
 (evaluation) form; most CKKS ops keep them NTT-applied.
+
+Several polynomials over one basis can be stacked as ``(P, L, N)``
+planes (:meth:`RnsPolynomial.stack`), so a domain change or basis
+conversion of all of them is one batched call — how rescale and
+ModDown pass a ciphertext's ``b`` and ``a`` through INTT → BConv → NTT.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -42,6 +48,41 @@ def modulus_column(basis: tuple) -> np.ndarray:
     return np.array(basis, dtype=np.int64).reshape(len(basis), 1)
 
 
+#: Bound on the cached ``(source, target)`` row selectors of
+#: :meth:`RnsPolynomial.restrict`.  A leveled run restricts between a
+#: few dozen basis pairs (each level's prefix, digit groups, P and Q
+#: parts); 256 keeps them all resident while capping growth.
+ROW_SELECTOR_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=ROW_SELECTOR_CACHE_SIZE)
+def row_selector(src_basis: tuple, dst_basis: tuple):
+    """Rows of ``src_basis`` holding ``dst_basis``'s primes, in order.
+
+    A ``slice`` when they are contiguous (restricting is then a view
+    plus one copy), else a read-only index array (a fancy index, which
+    copies once by itself).  Raises :class:`ParameterError` naming a
+    prime ``src_basis`` lacks.
+    """
+    index = {q: i for i, q in enumerate(src_basis)}
+    try:
+        rows = [index[q] for q in dst_basis]
+    except KeyError as exc:
+        raise ParameterError(f"prime {exc} not in source basis") from exc
+    start = rows[0] if rows else 0
+    if rows == list(range(start, start + len(rows))):
+        return slice(start, start + len(rows))
+    rows = np.array(rows, dtype=np.intp)
+    rows.flags.writeable = False
+    return rows
+
+
+def _take_rows(array: np.ndarray, rows) -> np.ndarray:
+    """One fresh copy of the limb rows ``rows`` of ``(..., L, N)`` planes."""
+    picked = array[..., rows, :]
+    return picked.copy() if isinstance(rows, slice) else picked
+
+
 def basis_product(basis: tuple) -> int:
     """Product of all primes in a basis (an exact Python int)."""
     prod = 1
@@ -57,6 +98,12 @@ class RnsPolynomial:
     ``coeffs`` has shape ``(len(basis), degree)``; ``coeffs[i]`` is the
     limb modulo ``basis[i]``.  ``is_ntt`` tracks whether limbs hold
     evaluation-domain values.
+
+    Leading axes ``(P, L, N)`` stack ``P`` polynomials over the same
+    basis as planes.  Domain changes, :meth:`restrict` and BConv treat
+    every plane alike in one call; element-wise arithmetic and CRT
+    reconstruction are for single ``(L, N)`` polynomials (split a
+    stack with :meth:`planes`).
     """
 
     coeffs: np.ndarray
@@ -71,11 +118,11 @@ class RnsPolynomial:
                                      compare=False)
 
     def __post_init__(self):
-        if self.coeffs.ndim != 2:
-            raise ParameterError("RNS coefficients must be a 2-D matrix")
-        if self.coeffs.shape[0] != len(self.basis):
+        if self.coeffs.ndim < 2:
+            raise ParameterError("RNS coefficients must be at least 2-D")
+        if self.coeffs.shape[-2] != len(self.basis):
             raise ParameterError(
-                f"{self.coeffs.shape[0]} limbs but {len(self.basis)} primes")
+                f"{self.coeffs.shape[-2]} limbs but {len(self.basis)} primes")
         if self.coeffs.dtype != np.int64:
             self.coeffs = self.coeffs.astype(np.int64)
 
@@ -111,15 +158,40 @@ class RnsPolynomial:
             limbs[i] = rng.integers(0, q, size=degree, dtype=np.int64)
         return RnsPolynomial(limbs, tuple(basis), is_ntt)
 
+    @staticmethod
+    def stack(polys: Sequence["RnsPolynomial"],
+              basis: tuple | None = None) -> "RnsPolynomial":
+        """``(P, L, N)`` planes of ``polys``, restricted to ``basis``.
+
+        Every polynomial must share one basis and domain.  ``basis``
+        (default: theirs) selects limb rows as :meth:`restrict` does,
+        straight into the stacked array.
+        """
+        first = polys[0]
+        for poly in polys[1:]:
+            first._check_compatible(poly)
+        basis = first.basis if basis is None else tuple(basis)
+        rows = row_selector(first.basis, basis)
+        out = np.empty((len(polys), len(basis), first.degree),
+                       dtype=np.int64)
+        for plane, poly in zip(out, polys):
+            plane[...] = poly.coeffs[rows]
+        return RnsPolynomial(out, basis, first.is_ntt)
+
+    def planes(self) -> list:
+        """The stacked polynomials of ``(P, L, N)`` planes (views)."""
+        return [RnsPolynomial(plane, self.basis, self.is_ntt)
+                for plane in self.coeffs]
+
     # -- Domain changes -------------------------------------------------------
 
     @property
     def degree(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-1]
 
     @property
     def limb_count(self) -> int:
-        return self.coeffs.shape[0]
+        return self.coeffs.shape[-2]
 
     def to_ntt(self) -> "RnsPolynomial":
         """Return the NTT-applied copy (no-op if already applied).
@@ -247,14 +319,14 @@ class RnsPolynomial:
     # -- Basis manipulation -----------------------------------------------------
 
     def restrict(self, basis: tuple) -> "RnsPolynomial":
-        """Keep only the limbs whose primes appear in ``basis`` (in order)."""
-        index = {q: i for i, q in enumerate(self.basis)}
-        try:
-            rows = [index[q] for q in basis]
-        except KeyError as exc:
-            raise ParameterError(f"prime {exc} not in source basis") from exc
-        dual = None if self.shoup is None else self.shoup[rows].copy()
-        return RnsPolynomial(self.coeffs[rows].copy(), tuple(basis),
+        """Keep only the limbs whose primes appear in ``basis`` (in order).
+
+        The result owns its rows: each is copied exactly once.
+        """
+        basis = tuple(basis)
+        rows = row_selector(self.basis, basis)
+        dual = None if self.shoup is None else _take_rows(self.shoup, rows)
+        return RnsPolynomial(_take_rows(self.coeffs, rows), basis,
                              self.is_ntt, dual)
 
     def concat(self, other: "RnsPolynomial") -> "RnsPolynomial":

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from repro.ckks import bootstrap, evaluator
+from repro.ckks import bootstrap, evaluator, instrument
 from repro.ckks.fixture import bootstrap_fixture
 from repro.ckks.polyeval import BABY_STEPS
 
@@ -25,6 +25,39 @@ EXPECTED = {
     ("_slot_to_coeff", "key_switch"): 14,
     ("_slot_to_coeff", "rescale"): 8,
 }
+
+
+#: (stage, engine counter) -> value in one warm bootstrap.  Rescale and
+#: ModDown pass a ciphertext's ``b`` and ``a`` through one stacked
+#: INTT → BConv → NTT, so each costs one call of each kind, not two.
+EXPECTED_ENGINE = {
+    ("mod_raise", "ckks.batch_ntt.forward"): 2,
+    ("mod_raise", "ckks.batch_ntt.inverse"): 2,
+    ("_coeff_to_slot", "ckks.batch_ntt.forward"): 83,
+    ("_coeff_to_slot", "ckks.batch_ntt.inverse"): 38,
+    ("_coeff_to_slot", "ckks.bconv.batched"): 83,
+    ("_eval_mod", "ckks.batch_ntt.forward"): 282,
+    ("_eval_mod", "ckks.batch_ntt.inverse"): 144,
+    ("_eval_mod", "ckks.bconv.batched"): 198,
+    ("_slot_to_coeff", "ckks.batch_ntt.forward"): 43,
+    ("_slot_to_coeff", "ckks.batch_ntt.inverse"): 36,
+    ("_slot_to_coeff", "ckks.bconv.batched"): 43,
+}
+
+#: Engine counters pinned per stage (the rest are in BENCH_functional).
+ENGINE_CALLS = ("ckks.batch_ntt.forward", "ckks.batch_ntt.inverse",
+                "ckks.bconv.batched")
+
+
+class _StageTracer:
+    """Engine counter sink that files each count under the live stage."""
+
+    def __init__(self, stage):
+        self.stage = stage
+        self.counters = Counter()
+
+    def count(self, name, value=1.0):
+        self.counters[(self.stage[0], name)] += value
 
 
 def _counting(counts, stage, key, fn):
@@ -86,3 +119,41 @@ def test_output_level_follows_depth(counted, fixture):
     assert out.level_count == (fixture.params.level_count
                                - fixture.bts.depth())
     assert fixture.decrypt_error(out) < 2.0 ** -8
+
+
+@pytest.fixture()
+def engine_counts(fixture, monkeypatch):
+    """Per-stage engine counters of one warm bootstrap."""
+    stage = [None]
+    monkeypatch.setattr(bootstrap, "mod_raise", _staged(
+        stage, "mod_raise", bootstrap.mod_raise))
+    for name in STAGES:
+        monkeypatch.setattr(bootstrap.Bootstrapper, name, _staged(
+            stage, name, getattr(bootstrap.Bootstrapper, name)))
+    tracer = _StageTracer(stage)
+    previous = instrument.get_tracer()
+    instrument.set_tracer(tracer)
+    try:
+        fixture.bts.bootstrap(fixture.ct_low)
+    finally:
+        instrument.set_tracer(previous)
+    return tracer.counters
+
+
+def test_ntt_and_bconv_calls_per_stage_are_pinned(engine_counts):
+    calls = {key: n for key, n in engine_counts.items()
+             if key[1] in ENGINE_CALLS}
+    assert calls == EXPECTED_ENGINE
+    assert None not in {stage for stage, _ in engine_counts}
+    total = Counter()
+    for (_, name), n in calls.items():
+        total[name] += n
+    assert total == {"ckks.batch_ntt.forward": 410,
+                     "ckks.batch_ntt.inverse": 220,
+                     "ckks.bconv.batched": 324}
+
+
+def test_stacking_keeps_limb_rows(engine_counts):
+    limbs = sum(n for (_, name), n in engine_counts.items()
+                if name == "ckks.batch_ntt.limbs")
+    assert limbs == 6334

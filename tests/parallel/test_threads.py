@@ -162,17 +162,22 @@ class TestThreadedNtt:
                 ctx.forward(a)
         assert "ckks.batch_ntt.threaded" not in counts
 
-    def test_leading_axes_fall_back_to_serial(self):
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_leading_axes_thread_bit_identical(self, threads):
         rng = np.random.default_rng(9)
         a = random_limbs(BASIS, DEGREE, rng, lead=(3,))
         ctx = BatchNttContext(DEGREE, BASIS)
         with thread_scope(1):
-            want = ctx.forward(a)
+            fwd_serial = ctx.forward(a)
+            inv_serial = ctx.inverse(fwd_serial)
         with tracing() as counts:
-            with thread_scope(3):
-                got = ctx.forward(a)
-        assert np.array_equal(got, want)
-        assert "ckks.batch_ntt.threaded" not in counts
+            with thread_scope(threads):
+                fwd = ctx.forward(a)
+                inv = ctx.inverse(fwd)
+        assert np.array_equal(fwd, fwd_serial)
+        assert np.array_equal(inv, inv_serial)
+        assert np.array_equal(inv, a)
+        assert counts.get("ckks.batch_ntt.threaded", 0) == 2
 
 
 class TestThreadedBconv:
@@ -187,3 +192,16 @@ class TestThreadedBconv:
             got = basis_convert(poly, dst)
         assert np.array_equal(got.coeffs, want.coeffs)
         assert got.basis == want.basis
+
+    def test_stacked_planes_bit_identical_to_serial(self):
+        rng = np.random.default_rng(12)
+        src, dst = BASIS[:2], BASIS[2:]
+        poly = RnsPolynomial(random_limbs(src, DEGREE, rng, lead=(2,)), src,
+                             is_ntt=False)
+        with thread_scope(1):
+            want = basis_convert(poly, dst)
+        with tracing() as counts:
+            with thread_scope(3):
+                got = basis_convert(poly, dst)
+        assert np.array_equal(got.coeffs, want.coeffs)
+        assert counts.get("ckks.bconv.threaded", 0) == 1

@@ -206,7 +206,7 @@ class TestFunctionalBench:
         metrics = doc["metrics"]
         assert not [name for name in metrics if name.endswith("_s")]
         # One warm bootstrap, not a mix of repeats and timing loops.
-        assert metrics["ckks.batch_ntt.forward"] == 561
+        assert metrics["ckks.batch_ntt.forward"] == 410
         assert metrics["ckks.modmath.shoup"] == 13844
         assert metrics["ckks.modmath.strict_fallback"] == 0
         assert doc["ntt_lazy_speedup"] == 1.5
