@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass
+@dataclass(frozen=True)
 class Block:
     """One logical FHE step.
 
@@ -20,7 +20,8 @@ class Block:
     Q-basis limbs the step operates on (the extended modulus adds
     ``aux`` more where relevant).  Remaining knobs parameterize the
     specific kinds (see :mod:`repro.core.fusion` for the lowering of
-    each).
+    each).  Blocks are frozen: workloads repeat one block object many
+    times, and the lowering reuses its kernels for every repeat.
     """
 
     kind: str
@@ -32,6 +33,15 @@ class Block:
     streaming: bool = False
     note: str = ""
     attrs: dict = field(default_factory=dict)
+
+    def key(self) -> tuple:
+        """The block's value as a hashable tuple, ``attrs`` read by value.
+
+        Blocks with equal keys lower to the same kernels.
+        """
+        return (self.kind, self.limbs, self.aux, self.dnum, self.count,
+                self.polys, self.streaming, self.note,
+                tuple(sorted(self.attrs.items())) if self.attrs else ())
 
 
 # -- Builders for the § II-B primary op sequences ------------------------------

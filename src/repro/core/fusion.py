@@ -70,28 +70,41 @@ PIM_NO_CP = LoweringOptions(basic_fuse=True, aut_fuse=True, offload=True,
 
 
 class Lowering:
-    """Lowers block lists for one parameter set and option level."""
+    """Lowers block lists for one parameter set and option level.
+
+    Each distinct block value is lowered once per :class:`Lowering`;
+    every repeat of it reuses the same (frozen) kernel objects.
+    """
 
     def __init__(self, degree: int, options: LoweringOptions, tracer=None):
         self.degree = degree
         self.options = options
         self.tracer = tracer
+        #: ``Block.key()`` -> the tuple of kernels that block lowers to.
+        self._lowered: dict = {}
 
     # -- Entry point -----------------------------------------------------------
 
     def lower(self, blocks, label: str = "") -> Trace:
         trace = Trace(label=label)
-        tracer = self.tracer
+        extend, tracer = trace.kernels.extend, self.tracer
         for block in blocks:
+            if tracer is None:
+                extend(self._lower_block(block))
+                continue
+            with tracer.span(f"lower.{block.kind}", limbs=block.limbs):
+                extend(self._lower_block(block))
+        return trace
+
+    def _lower_block(self, block: Block) -> tuple:
+        key = block.key()
+        kernels = self._lowered.get(key)
+        if kernels is None:
             handler = getattr(self, f"_lower_{block.kind}", None)
             if handler is None:
                 raise ParameterError(f"unknown block kind {block.kind!r}")
-            if tracer is None:
-                trace.extend(handler(block))
-                continue
-            with tracer.span(f"lower.{block.kind}", limbs=block.limbs):
-                trace.extend(handler(block))
-        return trace
+            kernels = self._lowered[key] = tuple(handler(block))
+        return kernels
 
     # -- Element-wise emission (GPU kernel or PIM instruction) ------------------
 

@@ -151,6 +151,30 @@ class Scheduler:
         self.metrics = metrics
         self._m = _SchedulerMetrics(metrics) if metrics is not None \
             else None
+        self._reset_costs()
+
+    # -- Per-kernel costing, memoized per run --------------------------------
+    # Kernels are frozen, and the lowering shares one kernel object among
+    # every repeat of a block, so a run prices each distinct kernel object
+    # once.  The memos are keyed by ``id(kernel)`` and hold the kernel
+    # itself, so no key can outlive its object and be reused by another.
+    # A repeat reuses the cost but still counts in the registry: the
+    # cost models' counters stay per kernel.
+
+    def _reset_costs(self) -> None:
+        #: id -> (GpuKernel, KernelCost, dynamic energy)
+        self._gpu_costs: dict = {}
+        #: id -> (PimKernel, fault-free PimCost)
+        self._pim_costs: dict = {}
+
+    def _pim_cost(self, kernel: PimKernel) -> PimCost:
+        entry = self._pim_costs.get(id(kernel))
+        if entry is None:
+            entry = self._pim_costs[id(kernel)] = (
+                kernel, self.pim_executor.cost(kernel))
+        else:
+            self.pim_executor.count_cost(kernel, entry[1])
+        return entry[1]
 
     # -- Per-kernel dispatch (split out so tracing wraps one call) ----------
     # The resilient loop charges its executions through the same helpers.
@@ -163,27 +187,35 @@ class Scheduler:
         report.energy_pim += cost.energy
 
     def _dispatch_pim(self, kernel: PimKernel, report: ScheduleReport) -> float:
-        cost = self.pim_executor.cost(kernel)
+        cost = self._pim_cost(kernel)
         self._account_pim(cost, report)
         return cost.time
 
     def _dispatch_gpu(self, kernel: GpuKernel, report: ScheduleReport) -> float:
-        dram = self.cache.dram_bytes(kernel)
-        cost = self.gpu_model.kernel_cost(kernel, dram_bytes=dram)
+        entry = self._gpu_costs.get(id(kernel))
+        if entry is None:
+            cost = self.gpu_model.kernel_cost(
+                kernel, dram_bytes=self.cache.dram_bytes(kernel))
+            entry = self._gpu_costs[id(kernel)] = (
+                kernel, cost, self.gpu_model.kernel_energy(kernel, cost))
+        else:
+            self.gpu_model.count_cost(kernel, entry[1])
+        _, cost, energy = entry
         report.gpu_time += cost.time
         report.gpu_dram_bytes += cost.dram_bytes
         if kernel.category is OpCategory.TRANSFER:
             report.transfer_bytes += cost.dram_bytes
-        report.energy_gpu_dynamic += self.gpu_model.kernel_energy(
-            kernel, cost)
+        report.energy_gpu_dynamic += energy
         return cost.time
 
     def run(self, trace: Trace) -> ScheduleReport:
+        self._reset_costs()
         report = ScheduleReport(label=trace.label)
         clock = 0.0
         previous_device = None
         overhead = self.gpu_model.config.pim_transition_overhead
-        tracer = self.tracer
+        tracer, metrics = self.tracer, self._m
+        by_category = report.time_by_category
         for kernel in trace:
             if isinstance(kernel, PimKernel):
                 if self.pim_executor is None:
@@ -195,28 +227,28 @@ class Scheduler:
             else:
                 device = "gpu"
                 dispatch = self._dispatch_gpu
+            category = kernel.category
             if tracer is None:
                 duration = dispatch(kernel, report)
             else:
-                name = f"dispatch.{device}.{kernel.category.value}"
+                name = f"dispatch.{device}.{category.value}"
                 with tracer.span(name, kernel=kernel.name):
                     duration = dispatch(kernel, report)
-            if self._m is not None:
-                self._m.kernel(device, kernel.category, duration)
+            if metrics is not None:
+                metrics.kernel(device, category, duration)
             if previous_device is not None and previous_device != device:
                 clock += overhead
                 report.transition_time += overhead
                 report.transitions += 1
-                if self._m is not None:
-                    self._m.transitions.inc()
+                if metrics is not None:
+                    metrics.transitions.inc()
             start = clock
             clock += duration
-            report.time_by_category[kernel.category] = (
-                report.time_by_category.get(kernel.category, 0.0) + duration)
+            by_category[category] = by_category.get(category, 0.0) + duration
             if self.keep_segments:
                 report.segments.append(Segment(
                     start=start, end=clock, device=device,
-                    name=kernel.name, category=kernel.category))
+                    name=kernel.name, category=category))
             previous_device = device
         report.total_time = clock
         report.energy_gpu_idle = self.gpu_model.config.idle_power * clock
@@ -290,6 +322,20 @@ class ResilientScheduler(Scheduler):
         if ras is not None:
             ras.bind(self.injector, health)
 
+    def _reset_costs(self) -> None:
+        super()._reset_costs()
+        #: id -> (PimKernel, its GpuKernel equivalent)
+        self._fallbacks: dict = {}
+
+    def _fallback(self, kernel: PimKernel) -> GpuKernel:
+        """The GPU equivalent of ``kernel``, built once per PIM kernel per
+        run, so every reroute of it hits the GPU cost memo."""
+        entry = self._fallbacks.get(id(kernel))
+        if entry is None:
+            entry = self._fallbacks[id(kernel)] = (
+                kernel, gpu_equivalent(kernel))
+        return entry[1]
+
     def run(self, trace: Trace) -> ScheduleReport:
         if self.injector is None:
             return super().run(trace)
@@ -297,6 +343,7 @@ class ResilientScheduler(Scheduler):
         ras = self.ras
         health, breakers = self.health, self.breakers
         kernel_timeout = self.kernel_timeout
+        self._reset_costs()
         report = ScheduleReport(label=trace.label)
         overhead = self.gpu_model.config.pim_transition_overhead
         clock = 0.0
@@ -389,18 +436,18 @@ class ResilientScheduler(Scheduler):
                 if injector.is_quarantined(site):
                     injector.note_reroute()
                     note_event("rerouted")
-                    exec_kernel = gpu_equivalent(kernel)
+                    exec_kernel = self._fallback(kernel)
                     device, site = "gpu", None
                 elif health is not None and health.gpu_only:
                     # degraded mode: the remaining block sequence runs
                     # on the GPU-only schedule
                     note_event("degraded_reroute")
-                    exec_kernel = gpu_equivalent(kernel)
+                    exec_kernel = self._fallback(kernel)
                     device, site = "gpu", None
                 elif breakers is not None \
                         and not breakers.allow("pim", clock):
                     note_event("breaker_reroute")
-                    exec_kernel = gpu_equivalent(kernel)
+                    exec_kernel = self._fallback(kernel)
                     device, site = "gpu", None
 
             ras_escape = False
@@ -420,7 +467,7 @@ class ResilientScheduler(Scheduler):
                                               instruction=instruction,
                                               site=site)
                 if device == "pim":
-                    nominal = self.pim_executor.cost(exec_kernel)
+                    nominal = self._pim_cost(exec_kernel)
                     executed = self.pim_executor.apply_fault(nominal, fault)
                     if (kernel_timeout is not None and fault is None
                             and executed.time > kernel_timeout):
@@ -436,7 +483,7 @@ class ResilientScheduler(Scheduler):
                         note_event("kernel_timeout")
                         note_failure("pim", exec_kernel.category)
                         gpu_fallback(exec_kernel.name,
-                                     gpu_equivalent(exec_kernel))
+                                     self._fallback(exec_kernel))
                         if injector.record_site_failure(site):
                             note_quarantine(site)
                         break
@@ -514,7 +561,7 @@ class ResilientScheduler(Scheduler):
                 # GPU fallback: re-execute on the reliable device.  A
                 # failed PIM site takes a strike; enough strikes
                 # quarantine it for the rest of the schedule.
-                fallback = (gpu_equivalent(exec_kernel)
+                fallback = (self._fallback(exec_kernel)
                             if device == "pim" else exec_kernel)
                 gpu_fallback(exec_kernel.name, fallback)
                 event.recovery = "fallback"

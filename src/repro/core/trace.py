@@ -11,6 +11,10 @@ the IR those passes manipulate:
   all-bank over a set of limbs.
 * :class:`Trace` — an ordered kernel list plus helpers the fusion,
   reordering, and offload passes use.
+
+Kernels are frozen values: the lowering shares one kernel object among
+every repeat of a block, and the scheduler prices each distinct kernel
+once per run, so a kernel must never change after it is built.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ CATEGORY_LABELS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class GpuKernel:
     """One GPU kernel launch with analytic cost inputs.
 
@@ -71,7 +75,7 @@ class GpuKernel:
         return tag in self.tags
 
 
-@dataclass
+@dataclass(frozen=True)
 class PimKernel:
     """A PIM kernel: one Table II instruction over many limb-vectors.
 

@@ -94,11 +94,21 @@ class GpuModel:
         bw = cfg.dram_bandwidth * self._bandwidth_efficiency(kernel.category)
         memory_time = dram_bytes / bw if dram_bytes else 0.0
         time = max(compute_time, memory_time) + cfg.kernel_launch_overhead
+        cost = KernelCost(time=time, compute_time=compute_time,
+                          memory_time=memory_time, dram_bytes=dram_bytes)
+        self.count_cost(kernel, cost)
+        return cost
+
+    def count_cost(self, kernel: GpuKernel, cost: KernelCost) -> None:
+        """Record one kernel's costing in the metrics registry.
+
+        :meth:`kernel_cost` calls this for every kernel it prices; the
+        scheduler calls it directly for each repeat of a kernel whose
+        cost it already holds, so the counters stay per kernel.
+        """
         if self.metrics is not None:
             self._m_costs.inc(category=kernel.category.value)
-            self._m_dram.inc(dram_bytes)
-        return KernelCost(time=time, compute_time=compute_time,
-                          memory_time=memory_time, dram_bytes=dram_bytes)
+            self._m_dram.inc(cost.dram_bytes)
 
     def kernel_energy(self, kernel: GpuKernel, cost: KernelCost) -> float:
         """Dynamic energy of one kernel (J).

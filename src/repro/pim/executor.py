@@ -157,22 +157,23 @@ class PimExecutor:
         energy = (total_acts * cfg.energy.act_energy
                   + internal_bytes * 8.0 * cfg.access_pj_per_bit() * 1e-12
                   + ops * cfg.mmac_pj_per_op * 1e-12)
+        cost = PimCost(time=time, energy=energy, activations=total_acts,
+                       chunk_accesses=total_chunks,
+                       internal_bytes=internal_bytes)
+        self.count_cost(kernel, cost)
+        return self.apply_fault(cost, fault)
+
+    def count_cost(self, kernel: PimKernel, cost: PimCost) -> None:
+        """Record one kernel's fault-free costing in the metrics registry.
+
+        :meth:`cost` calls this for every kernel it prices; the
+        scheduler calls it directly for each repeat of a kernel whose
+        cost it already holds, so the counters stay per kernel.
+        """
         if self.metrics is not None:
             self._m_instructions.inc(instruction=kernel.instruction)
-            self._m_activations.inc(total_acts)
-            self._m_internal.inc(internal_bytes)
-        return self.apply_fault(
-            PimCost(time=time, energy=energy, activations=total_acts,
-                    chunk_accesses=total_chunks,
-                    internal_bytes=internal_bytes), fault)
-
-    def verify_cost(self, kernel: PimKernel) -> float:
-        """Modeled residue-checksum verification time for one kernel.
-
-        The checksum lanes reduce each output chunk as it streams out of
-        the MMAC array, so verification costs a small fixed fraction of
-        the kernel's own streaming time (no extra row activations)."""
-        return self.cost(kernel).time * 0.02
+            self._m_activations.inc(cost.activations)
+            self._m_internal.inc(cost.internal_bytes)
 
     def trace_cost(self, kernels) -> PimCost:
         total = ZERO_COST

@@ -5,6 +5,31 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.metrics import MetricsRegistry
+
+#: Full registry digests the ``metrics --smoke`` and ``ras --smoke``
+#: gates compute.  Each gate only compares two runs of the same code, so
+#: a change that moves every run's counters alike still passes it; these
+#: pins catch that.  Re-pin only for an intended change to the counters.
+METRICS_SMOKE_DIGEST = ("0205d528f3b0b5e3229eac2025991374"
+                        "674db064f3f967883375c87e0ce6f08d")
+RAS_SMOKE_DIGEST = ("cfb5026ffced3c15b93159410e01e4f7"
+                    "fe9040555044453873073eb05d478b73")
+
+
+@pytest.fixture()
+def digests(monkeypatch):
+    """Every ``MetricsRegistry.digest`` value computed during the test."""
+    seen = []
+    digest = MetricsRegistry.digest
+
+    def recording_digest(self):
+        value = digest(self)
+        seen.append(value)
+        return value
+
+    monkeypatch.setattr(MetricsRegistry, "digest", recording_digest)
+    return seen
 
 
 class TestParser:
@@ -332,11 +357,12 @@ class TestProfile:
 
 
 class TestMetricsCommand:
-    def test_smoke_gates(self, capsys):
+    def test_smoke_gates(self, capsys, digests):
         assert main(["metrics", "--smoke"]) == 0
         out = capsys.readouterr().out
         assert "metrics smoke: PASS" in out
         assert "accounting error" in out
+        assert set(digests) == {METRICS_SMOKE_DIGEST}
 
     def test_prometheus_export_validates(self, capsys):
         from repro.obs.metrics import parse_prometheus
@@ -594,9 +620,10 @@ class TestParallelBench:
 
 
 class TestRasCommand:
-    def test_smoke_gates(self, capsys):
+    def test_smoke_gates(self, capsys, digests):
         assert main(["ras", "--smoke"]) == 0
         assert "ras smoke: PASS" in capsys.readouterr().out
+        assert set(digests) == {RAS_SMOKE_DIGEST}
 
     def test_matrix_table_and_gate(self, capsys):
         assert main(["ras", "--retention-rates", "200",
